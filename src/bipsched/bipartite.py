@@ -284,27 +284,35 @@ class _Dinic:
             if level[t] == -1:
                 return flow
             it = [0] * self.n
-
-            def push(u: int, f: int) -> int:
-                if u == t:
-                    return f
-                while it[u] < len(self.graph[u]):
-                    eid = self.graph[u][it[u]]
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                        got = push(v, min(f, self.cap[eid]))
-                        if got > 0:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            # augmenting paths of the level graph by an explicit edge stack,
+            # advancing it[u] past dead ends; a path is as long as the graph
+            # is deep, which is too deep for recursion on long paths
+            path: list[int] = []
+            u = s
             while True:
-                pushed = push(s, 1 << 62)
-                if pushed == 0:
-                    break
-                flow += pushed
+                if u == t:
+                    pushed = min(1 << 62, min(self.cap[eid] for eid in path))
+                    for eid in path:
+                        self.cap[eid] -= pushed
+                        self.cap[eid ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                    continue
+                adj = self.graph[u]
+                while it[u] < len(adj):
+                    eid = adj[it[u]]
+                    if self.cap[eid] > 0 and level[self.to[eid]] == level[u] + 1:
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    u = self.to[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                path.append(eid)
+                u = self.to[eid]
 
     def residual_reachable(self, s: int) -> set[int]:
         seen = {s}
@@ -343,7 +351,8 @@ def max_weight_independent_set(g: BipGraph) -> frozenset[int]:
     # cover = (A not reached) | (B reached); independent set is the complement
     result = frozenset(v for v in range(n)
                        if (g.side[v] == 0) == (v in reach))
-    assert g.total_weight(result) == sum(g.weights) - flow
+    if g.total_weight(result) != sum(g.weights) - flow:
+        raise AssertionError("independent set weight does not match the min cut")
     return result
 
 

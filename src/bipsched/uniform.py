@@ -141,6 +141,14 @@ def _two_fastest_subinstance(inst: Instance) -> tuple[Instance, tuple[int, int]]
 
 @dataclass(frozen=True)
 class SqrtPsumInfo:
+    """The branch that produced the schedule, and what it was chosen on.
+
+    ``chosen`` is "single-machine", "brute-force", "s1" (eps=1 FPTAS on the
+    two fastest machines), "s2" (step-11 list scheduling) or "s1-fine" (the
+    two fastest machines again at eps = 1/(n+1), run when the better of s1
+    and s2 is not certified within sqrt(psum) of the lower bound).
+    """
+
     psum: int
     pmax: int
     heavy: frozenset[int]
@@ -255,9 +263,21 @@ def sqrt_psum_schedule_detailed(inst: Instance) -> tuple[Schedule, SqrtPsumInfo]
             s2_cmax = eval_makespan(s2, inst)
 
     if s2 is not None and s2_cmax < s1_cmax:
-        chosen, sched = "s2", s2
+        chosen, sched, cmax = "s2", s2, s2_cmax
     else:
-        chosen, sched = "s1", s1
+        chosen, sched, cmax = "s1", s1, s1_cmax
+
+    # certify cmax <= sqrt(psum) * OPT against a lower bound on OPT; the eps=1
+    # FPTAS can miss it, so then the two fastest machines are solved again at
+    # eps = 1/(n+1), and that schedule is taken if strictly better
+    speeds = inst.env.speeds_by_rank()
+    bound = lb.value if lb is not None else max(
+        min_time_capacity_at_least(speeds, psum), Fraction(pmax) / speeds[0])
+    if cmax ** 2 > psum * bound ** 2:
+        fine_two = fptas_r2_bipartite(sub, Fraction(1, inst.n + 1))
+        fine = Schedule(tuple(label_a if x == 0 else label_b for x in fine_two.assignment))
+        if eval_makespan(fine, inst) < cmax:
+            chosen, sched = "s1-fine", fine
     return sched, SqrtPsumInfo(psum, pmax, heavy, ind, lb, s1_cmax, s2_cmax, chosen)
 
 

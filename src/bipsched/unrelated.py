@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .core import Instance, MachineKind, Schedule, machine_loads
 
 
@@ -154,6 +156,17 @@ class CoreResult:
     horizon: int
 
 
+# Table width (kmax + 1) from which the DP keeps each layer as dense arrays:
+# below it the fixed cost of a dozen array operations per job exceeds the dict
+# loop over the few states. Above the cap the dense layers would dwarf the
+# states they hold, since a tiny eps on few jobs gives a wide but sparse table.
+_ARRAY_MIN_WIDTH = 256
+_ARRAY_MAX_WIDTH = 1 << 20
+# the array path holds loads, load sums and scaled keys in int64; values from
+# this bound upward take the dict path, which uses Python integers
+_INT64_LIMIT = 1 << 62
+
+
 def fptas_r2_core(jobs: Sequence[tuple[int, int]], epsilon) -> CoreResult:
     """(1+eps)-approximate 2-machine partition of conflict-free jobs.
 
@@ -162,6 +175,11 @@ def fptas_r2_core(jobs: Sequence[tuple[int, int]], epsilon) -> CoreResult:
     rounded load the exact minimum machine-2 load is kept. States whose
     rounded load already exceeds T are pruned, which caps the table at
     2n/eps + 1 entries. delta = 1 makes the program exact.
+
+    With delta = dn/dd all arithmetic is in integers: a job of machine-1 time
+    a moves the key by a*dd // dn, and keys above kmax = T*dd // dn are pruned.
+    Narrow tables run one dict per job; wide ones run dense int64 layers that
+    replay the dict program's tie-breaking exactly (see ``_dp_layers``).
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -179,37 +197,110 @@ def fptas_r2_core(jobs: Sequence[tuple[int, int]], epsilon) -> CoreResult:
     if horizon == 0:
         return CoreResult((0,) * n, 1, Fraction(1), 0)
     delta = max(Fraction(1), eps * horizon / (2 * n))
+    dn, dd = delta.numerator, delta.denominator
+    kmax = horizon * dd // dn
+    scaled = [(a * dd // dn, b) for a, b in entries]
 
-    # tables[i]: rounded m1 load -> (min exact m2 load, parent key, placed on m1)
-    tables: list[dict[int, tuple[int, int, bool]]] = [{0: (0, -1, False)}]
-    for a, b in entries:
-        ka = int(Fraction(a) / delta)
-        prev = tables[-1]
-        cur: dict[int, tuple[int, int, bool]] = {}
-        for key, (val, _, _) in prev.items():
-            nk = key + ka
-            if nk * delta <= horizon:
-                if nk not in cur or val < cur[nk][0]:
-                    cur[nk] = (val, key, True)
-            nv = val + b
-            if nv <= horizon:
-                if key not in cur or nv < cur[key][0]:
-                    cur[key] = (nv, key, False)
-        tables.append(cur)
-
-    best_key = min(tables[-1],
-                   key=lambda k: (max(k * delta, tables[-1][k][0]), k))
-    assignment = [0] * n
-    key = best_key
-    for i in range(n, 0, -1):
-        val, parent, on_m1 = tables[i][key]
-        assignment[i - 1] = 0 if on_m1 else 1
-        key = parent
-    state_count = max(len(t) for t in tables)
+    # horizon*dd bounds both k*dn and val*dd for every kept state
+    if (_ARRAY_MIN_WIDTH <= kmax + 1 <= _ARRAY_MAX_WIDTH
+            and horizon * dd < _INT64_LIMIT
+            and horizon + max(b for _, b in entries) < _INT64_LIMIT):
+        assignment, state_count = _dp_layers(scaled, horizon, kmax, dn, dd)
+    else:
+        assignment, state_count = _dp_dicts(scaled, horizon, kmax, dn, dd)
     bound = math.ceil(2 * n / eps) + n + 1
     if state_count > bound:
         raise AssertionError(f"DP state count {state_count} exceeds bound {bound}")
-    return CoreResult(tuple(assignment), state_count, delta, horizon)
+    return CoreResult(assignment, state_count, delta, horizon)
+
+
+def _dp_dicts(scaled: Sequence[tuple[int, int]], horizon: int, kmax: int,
+              dn: int, dd: int) -> tuple[tuple[int, ...], int]:
+    """The DP with one dict per job; returns (assignment, max states per layer)."""
+    # tables[i]: rounded m1 load -> (min exact m2 load, parent key, placed on m1)
+    tables: list[dict[int, tuple[int, int, bool]]] = [{0: (0, -1, False)}]
+    for ka, b in scaled:
+        cur: dict[int, tuple[int, int, bool]] = {}
+        for key, (val, _, _) in tables[-1].items():
+            nk = key + ka
+            if nk <= kmax:
+                old = cur.get(nk)
+                if old is None or val < old[0]:
+                    cur[nk] = (val, key, True)
+            nv = val + b
+            if nv <= horizon:
+                old = cur.get(key)
+                if old is None or nv < old[0]:
+                    cur[key] = (nv, key, False)
+        tables.append(cur)
+
+    last = tables[-1]
+    key = min(last, key=lambda k: (max(k * dn, last[k][0] * dd), k))
+    assignment = [0] * len(scaled)
+    for i in range(len(scaled), 0, -1):
+        _, parent, on_m1 = tables[i][key]
+        assignment[i - 1] = 0 if on_m1 else 1
+        key = parent
+    return tuple(assignment), max(len(t) for t in tables)
+
+
+def _dp_layers(scaled: Sequence[tuple[int, int]], horizon: int, kmax: int,
+               dn: int, dd: int) -> tuple[tuple[int, ...], int]:
+    """The DP of ``_dp_dicts`` on dense int64 layers over keys 0..kmax.
+
+    ``val[k]`` is the least machine-2 load at key k, ``horizon + 1`` when k is
+    absent. Key t of the next layer has two candidate writers: the m1 move
+    from key t - ka (same value) and the m2 move from key t (value + b). The
+    dict program walks the previous layer in insertion order, writing m1 then
+    m2 for each key, and keeps the first writer on equal values. So the
+    insertion rank of every key is carried along, doubled: the m1 write to t
+    happens at step step[t - ka], the m2 write at step[t] + 1, and a key's new
+    rank is the order of its earliest write. Parents need one bit per key and
+    layer: an m1 pick at t came from t - ka, an m2 pick from t.
+    """
+    width = kmax + 1
+    absent = horizon + 1
+    val = np.full(width, absent, dtype=np.int64)
+    val[0] = 0
+    # step[k] = 2 * insertion rank of key k; absent keys hold 2 * count, the
+    # "never" step, past every write the layer makes
+    step = np.full(width, 2, dtype=np.int64)
+    step[0] = 0
+    count = state_count = 1
+    v1 = np.empty(width, dtype=np.int64)
+    s1 = np.empty(width, dtype=np.int64)
+    picks = []
+    for ka, b in scaled:
+        never = 2 * count
+        shift = min(ka, width)
+        v1[:shift] = absent
+        v1[shift:] = val[:width - shift]
+        s1[:shift] = never
+        s1[shift:] = step[:width - shift]
+        v2 = val + b
+        # m1 wins iff v1 < v2, or v1 == v2 and it was written first; where
+        # the m1 move is invalid the bit is never read, as the key is absent
+        # or taken by m2 with v2 <= horizon < v1
+        on_m1 = v2 >= v1 + (step < s1)
+        val = np.minimum(v1, v2)
+        first = np.minimum(s1, np.where(v2 < absent, step + 1, never))
+        written = np.zeros(never + 1, dtype=np.int64)
+        written[first] = 2
+        ranks = np.cumsum(written)
+        step = ranks[first] - 2
+        count = int(ranks[never - 1]) // 2
+        state_count = max(state_count, count)
+        picks.append(np.packbits(on_m1))
+
+    keys = np.flatnonzero(val < absent)
+    key = int(keys[np.argmin(np.maximum(keys * dn, val[keys] * dd))])
+    assignment = [0] * len(scaled)
+    for i in range(len(scaled) - 1, -1, -1):
+        if (int(picks[i][key >> 3]) >> (7 - (key & 7))) & 1:
+            key -= scaled[i][0]
+        else:
+            assignment[i] = 1
+    return tuple(assignment), state_count
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ independent of the code paths they certify.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Sequence
 
-from bipsched import BipGraph, Instance, MachineKind, Schedule
+from bipsched import BipGraph, CoreResult, Instance, MachineKind, Schedule
 from bipsched import makespan as eval_makespan, validate
 
 
@@ -93,3 +95,64 @@ def opt_lb_by_scan(inst: Instance, independent) -> Fraction:
             c += 1
     points.add(horizon)
     return min(t for t in sorted(points) if ok(t))
+
+
+# The scaled-load DP in its original Fraction-and-dict form, kept verbatim as
+# the reference that the integer and array versions must match on every field
+# of CoreResult, tie-breaking included.
+def reference_fptas_r2_core(jobs: Sequence[tuple[int, int]], epsilon) -> CoreResult:
+    """(1+eps)-approximate 2-machine partition of conflict-free jobs.
+
+    Dynamic program over machine-1 loads rounded to a scale unit
+    delta = max(1, eps*T/(2n)) where T is the min-entry upper bound; for each
+    rounded load the exact minimum machine-2 load is kept. States whose
+    rounded load already exceeds T are pruned, which caps the table at
+    2n/eps + 1 entries. delta = 1 makes the program exact.
+    """
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    entries = [(int(a), int(b)) for a, b in jobs]
+    if any(a < 0 or b < 0 for a, b in entries):
+        raise ValueError("processing times must be non-negative")
+    n = len(entries)
+    if n == 0:
+        return CoreResult((), 1, Fraction(1), 0)
+    load = [0, 0]
+    for a, b in entries:
+        load[0 if a <= b else 1] += min(a, b)
+    horizon = max(load)
+    if horizon == 0:
+        return CoreResult((0,) * n, 1, Fraction(1), 0)
+    delta = max(Fraction(1), eps * horizon / (2 * n))
+
+    # tables[i]: rounded m1 load -> (min exact m2 load, parent key, placed on m1)
+    tables: list[dict[int, tuple[int, int, bool]]] = [{0: (0, -1, False)}]
+    for a, b in entries:
+        ka = int(Fraction(a) / delta)
+        prev = tables[-1]
+        cur: dict[int, tuple[int, int, bool]] = {}
+        for key, (val, _, _) in prev.items():
+            nk = key + ka
+            if nk * delta <= horizon:
+                if nk not in cur or val < cur[nk][0]:
+                    cur[nk] = (val, key, True)
+            nv = val + b
+            if nv <= horizon:
+                if key not in cur or nv < cur[key][0]:
+                    cur[key] = (nv, key, False)
+        tables.append(cur)
+
+    best_key = min(tables[-1],
+                   key=lambda k: (max(k * delta, tables[-1][k][0]), k))
+    assignment = [0] * n
+    key = best_key
+    for i in range(n, 0, -1):
+        val, parent, on_m1 = tables[i][key]
+        assignment[i - 1] = 0 if on_m1 else 1
+        key = parent
+    state_count = max(len(t) for t in tables)
+    bound = math.ceil(2 * n / eps) + n + 1
+    if state_count > bound:
+        raise AssertionError(f"DP state count {state_count} exceeds bound {bound}")
+    return CoreResult(tuple(assignment), state_count, delta, horizon)

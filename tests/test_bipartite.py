@@ -127,6 +127,17 @@ def test_matching_handles_long_augmenting_paths():
     assert size == n // 2
 
 
+def test_mwis_on_long_augmenting_path():
+    # a_i = k - i, b_i = k + 1 + i, edges a_i-b_i and b_i-a_{i+1}: one
+    # augmenting path through all 2k + 2 vertices
+    k = 600
+    edges = [(k - i, k + 1 + i) for i in range(k + 1)]
+    edges += [(k + 1 + i, k - i - 1) for i in range(k)]
+    g = BipGraph(2 * k + 2, edges)
+    got = max_weight_independent_set(g)
+    assert g.is_independent(got) and len(got) == k + 1
+
+
 def test_koenig_identity():
     for s in range(40):
         g = random_bipartite(substream_seed(14, s))

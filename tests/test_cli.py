@@ -112,6 +112,20 @@ def test_solve_outputs_pass_verify(tmp_path):
         assert run(["verify", "-i", r2, "-s", str(out)]) == 0
 
 
+def test_sqrt_psum_on_long_path_graph(tmp_path):
+    # unit jobs on a 1402-vertex path, whose MWIS min cut augments along the
+    # whole path
+    k = 700
+    edges = [(k - i, k + 1 + i) for i in range(k + 1)]
+    edges += [(k + 1 + i, k - i - 1) for i in range(k)]
+    inst = Instance(unit_jobs(2 * k + 2), MachineEnv.uniform([8, 4, 2, 1]),
+                    BipGraph(2 * k + 2, edges))
+    path, out = tmp_path / "path.json", tmp_path / "sched.json"
+    write_instance(inst, str(path))
+    assert run(["solve", "--alg", "sqrt-psum", "-i", str(path), "-o", str(out)]) == 0
+    assert run(["verify", "-i", str(path), "-s", str(out)]) == 0
+
+
 def test_verify_rejects_conflicts_and_bad_makespan(tmp_path, capsys):
     obj = {"edges": [[0, 1]],
            "jobs": [{"id": 0, "p": 1}, {"id": 1, "p": 1}],

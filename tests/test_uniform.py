@@ -157,6 +157,19 @@ def test_sqrt_psum_two_machines_falls_back_to_fptas():
     assert makespan(s, inst) ** 2 <= totals(inst)[0] * opt ** 2
 
 
+def test_sqrt_psum_refines_s1_when_guarantee_uncertified():
+    # the eps=1 FPTAS on the two fastest machines gives 10/3 here, above
+    # sqrt(11) * OPT with OPT = 1; the eps = 1/(n+1) rerun reaches 3
+    inst = uniform_instance(3, 2363)
+    s, info = sqrt_psum_schedule_detailed(inst)
+    assert info.s1_makespan == Fraction(10, 3)
+    assert info.chosen == "s1-fine"
+    assert validate(s, inst).valid
+    opt = exact_min_makespan(inst).makespan
+    assert opt == 1 and makespan(s, inst) == 3
+    assert makespan(s, inst) ** 2 <= totals(inst)[0] * opt ** 2
+
+
 def test_sqrt_psum_exhaustive_tiny_sweep():
     # every bipartite graph on 3 vertices, every p vector over {1,2}
     import itertools

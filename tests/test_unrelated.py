@@ -3,7 +3,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bipsched import unrelated
 from bipsched import (BipGraph, Instance, Job, MachineEnv, Schedule,
                       SplitMix64, exact_min_makespan, fptas_r2_bipartite,
                       fptas_r2_bipartite_with_stats, fptas_r2_core,
@@ -12,7 +14,7 @@ from bipsched import (BipGraph, Instance, Job, MachineEnv, Schedule,
 from bipsched.randgraph import substream_seed
 from bipsched.suites import r2_instance
 
-from conftest import exhaustive_min_makespan
+from conftest import exhaustive_min_makespan, reference_fptas_r2_core
 
 
 def r2(rows, edges=()):
@@ -113,6 +115,95 @@ def test_fptas_core_examples():
     assert fptas_r2_core([(1, 9), (9, 1)], Fraction(1, 2)).assignment == (0, 1)
     res = fptas_r2_core([(2, 2), (2, 2)], 1)
     assert sorted(res.assignment) == [0, 1]
+
+
+def test_fptas_core_first_writer_wins_ties():
+    # the first layer holds key 1 (job 0 on m1) before key 0; in the second,
+    # key 1 gets value 1 from the m2 move of key 1, then value 1 again from
+    # the m1 move of key 0, and the first writer stays
+    res = fptas_r2_core([(1, 1), (1, 1)], 1)
+    assert res.assignment == (0, 1)
+    assert res == reference_fptas_r2_core([(1, 1), (1, 1)], 1)
+
+
+def _width(jobs, eps):
+    """Table width kmax + 1 of the DP, computed independently of it."""
+    n = len(jobs)
+    load = [0, 0]
+    for a, b in jobs:
+        load[0 if a <= b else 1] += min(a, b)
+    horizon = max(load)
+    delta = max(Fraction(1), Fraction(eps) * horizon / (2 * n))
+    return math.floor(horizon / delta) + 1
+
+
+@st.composite
+def core_inputs(draw):
+    n = draw(st.integers(1, 12))
+    top = draw(st.sampled_from((3, 3, 30, 1000, 10 ** 4, 1 << 63)))
+    low = 0 if top < 1 << 63 else 1 << 62
+    entry = st.integers(low, top)
+    jobs = draw(st.lists(st.tuples(entry, entry), min_size=n, max_size=n))
+    eps = draw(st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(1, 10),
+                                Fraction(1, 100), Fraction(1, n + 1))))
+    return jobs, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_inputs())
+def test_fptas_core_matches_reference(case):
+    jobs, eps = case
+    assert fptas_r2_core(jobs, eps) == reference_fptas_r2_core(jobs, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(core_inputs())
+def test_fptas_core_array_layers_match_reference(case):
+    # every table on the array path, so the tie replay is exercised on the
+    # narrow, tie-heavy inputs too; values beyond int64 still go to dicts
+    jobs, eps = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unrelated, "_ARRAY_MIN_WIDTH", 1)
+        assert fptas_r2_core(jobs, eps) == reference_fptas_r2_core(jobs, eps)
+
+
+@pytest.mark.parametrize("jobs, eps, layers", [
+    ([(1, 2), (3, 0), (2, 2)], Fraction(1), 0),
+    ([(900, 700), (400, 950), (10, 5)], Fraction(1, 100), 1),
+])
+def test_fptas_core_path_follows_table_width(jobs, eps, layers):
+    assert (_width(jobs, eps) >= unrelated._ARRAY_MIN_WIDTH) == bool(layers)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return dp_layers(*args)
+
+    dp_layers = unrelated._dp_layers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unrelated, "_dp_layers", spy)
+        res = fptas_r2_core(jobs, eps)
+    assert len(calls) == layers
+    assert res == reference_fptas_r2_core(jobs, eps)
+
+
+@pytest.mark.parametrize("jobs, eps", [
+    # horizon beyond int64 headroom
+    ([((1 << 62) + 5, (1 << 62) + 9), ((1 << 62) + 7, 3), (2, (1 << 62) + 1)],
+     Fraction(1, 100)),
+    # 6 * 10^6 keys for at most 8 states
+    ([(10 ** 6, 10 ** 6)] * 3, Fraction(1, 10 ** 6)),
+])
+def test_fptas_core_out_of_range_tables_take_dict_path(jobs, eps):
+    assert _width(jobs, eps) >= unrelated._ARRAY_MIN_WIDTH
+
+    def refuse(*args):
+        raise AssertionError("array layers used out of their range")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unrelated, "_dp_layers", refuse)
+        res = fptas_r2_core(jobs, eps)
+    assert res == reference_fptas_r2_core(jobs, eps)
 
 
 def test_fptas_core_epsilon_validation():
