@@ -10,7 +10,6 @@ independent set.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -140,18 +139,6 @@ class BipGraph:
 
     def __repr__(self):
         return f"BipGraph(n={self.n_vertices}, edges={len(self.edges)})"
-
-
-@dataclass(frozen=True)
-class TwoColoring:
-    """Proper 2-coloring; side values are 0 ('A') and 1 ('B')."""
-
-    side: tuple[int, ...]
-
-
-def bipartition(g: BipGraph) -> TwoColoring:
-    """The BFS 2-coloring certified at construction (isolated vertices: side 0)."""
-    return TwoColoring(g.side)
 
 
 def inequitable_two_coloring(g: BipGraph) -> tuple[frozenset[int], frozenset[int]]:

@@ -9,6 +9,7 @@ terms. Exit codes: 0 success, 1 infeasible or invalid input, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .bipartite import BipGraph
 from .core import (Instance, Job, MachineEnv, MachineKind, Schedule,
-                   makespan as eval_makespan, unit_jobs, validate)
+                   makespan as eval_makespan, strict_int, unit_jobs, validate)
 from .errors import BudgetExceededError, SchedulingError
 from .gadgets import (GadgetKind, GadgetSpec, PrecolorInstance, build_gadget,
                       build_uniform_hardness, build_unrelated_hardness)
@@ -33,6 +34,8 @@ def fmt_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"bad rational {text!r}: expected a 'num/den' string")
     try:
         if "/" in text:
             num, den = text.split("/", 1)
@@ -66,14 +69,14 @@ def obj_to_instance(obj) -> Instance:
     try:
         machines = obj["machines"]
         kind = MachineKind(machines["kind"])
-        m = int(machines["m"])
+        m = strict_int(machines["m"], "machine count")
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"bad 'machines' section: {exc}") from exc
     if kind is MachineKind.UNIFORM:
-        speeds = [parse_rational(s) for s in machines.get("speeds", ())]
-        if len(speeds) != m:
-            raise ValueError("uniform machines need one speed per machine")
-        env = MachineEnv.uniform(speeds, allow_sub_unit=True)
+        speeds = machines.get("speeds")
+        if not isinstance(speeds, list) or len(speeds) != m:
+            raise ValueError("uniform machines need a list of one speed per machine")
+        env = MachineEnv.uniform([parse_rational(s) for s in speeds], allow_sub_unit=True)
     elif kind is MachineKind.IDENTICAL:
         env = MachineEnv.identical(m)
     else:
@@ -84,17 +87,21 @@ def obj_to_instance(obj) -> Instance:
     jobs = []
     try:
         for rec in sorted(raw_jobs, key=lambda r: r["id"]):
+            job_id = strict_int(rec["id"], "job id")
             if "p_row" in rec:
-                jobs.append(Job(id=int(rec["id"]), p_row=tuple(rec["p_row"])))
+                jobs.append(Job(id=job_id, p_row=tuple(rec["p_row"])))
             else:
-                jobs.append(Job(id=int(rec["id"]), p=int(rec["p"])))
+                jobs.append(Job(id=job_id, p=strict_int(rec["p"], f"job {job_id}: p")))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad job record: {exc}") from exc
     edges = obj.get("edges", [])
+    if not isinstance(edges, list):
+        raise ValueError("'edges' must be a list of [a, b] pairs")
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2):
             raise ValueError(f"bad edge record {e!r}")
-    graph = BipGraph(len(jobs), [(int(a), int(b)) for a, b in edges])
+    graph = BipGraph(len(jobs), [(strict_int(a, "edge end"), strict_int(b, "edge end"))
+                                 for a, b in edges])
     return Instance(tuple(jobs), env, graph)
 
 
@@ -124,9 +131,9 @@ def schedule_to_obj(sched: Schedule, inst: Instance) -> dict:
 
 def parse_schedule(path: str, inst: Instance) -> Schedule:
     obj = _load_json(path)
-    if not isinstance(obj, dict) or "assignment" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("assignment"), list):
         raise ValueError(f"{path}: schedule document needs an 'assignment' list")
-    sched = Schedule(tuple(int(x) for x in obj["assignment"]))
+    sched = Schedule(tuple(obj["assignment"]))
     stored = parse_rational(obj.get("makespan", "0/1"))
     actual = eval_makespan(sched, inst)
     if stored != actual:
@@ -327,6 +334,7 @@ def _cmd_bench_ratio_sweep(args) -> int:
     return 0 if ok == args.count else 1
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every run()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bipsched",
@@ -411,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,12 +9,20 @@ sum per machine determines the makespan.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 from .bipartite import BipGraph
 from .errors import MalformedScheduleError, UnsupportedQueryError
+
+
+def strict_int(value, what: str) -> int:
+    """``value`` if it is an integer; bools, floats and strings raise ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 class MachineKind(enum.Enum):
@@ -37,7 +45,8 @@ class Job:
         if self.p is not None and self.p < 1:
             raise ValueError(f"job {self.id}: processing requirement must be >= 1")
         if self.p_row is not None:
-            object.__setattr__(self, "p_row", tuple(int(x) for x in self.p_row))
+            what = f"job {self.id}: p_row entry"
+            object.__setattr__(self, "p_row", tuple(strict_int(x, what) for x in self.p_row))
             if any(x < 1 for x in self.p_row):
                 raise ValueError(f"job {self.id}: all p_row entries must be >= 1")
 
@@ -133,7 +142,8 @@ class Schedule:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(int(x) for x in self.assignment))
+        object.__setattr__(self, "assignment", tuple(
+            strict_int(x, "machine index") for x in self.assignment))
 
     @staticmethod
     def from_mapping(placement: dict[int, int], n: int) -> "Schedule":

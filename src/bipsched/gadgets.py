@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -289,14 +288,21 @@ def build_unrelated_hardness(pre: PrecolorInstance, d: int, m: int = 3,
 
 
 def distinguishing_d(c, n: int, b, epsilon) -> int:
-    """ceil((c * n^(b+1))^(1/epsilon)) + 1, the gap needed to separate YES/NO."""
-    c = Fraction(c)
-    b = Fraction(b)
-    eps = Fraction(epsilon)
+    """ceil((c * n^(b+1))^(1/epsilon)) + 1, the gap needed to separate YES/NO.
+
+    Exact: with epsilon = p/q, b+1 = r/s and c = u/w, the ceiling is the least
+    integer y with y^(p*s) * w^(q*s) >= u^(q*s) * n^(r*q), found by bisection.
+    """
+    c, b, eps = Fraction(c), Fraction(b), Fraction(epsilon)
     if c <= 0 or b <= 0 or eps <= 0 or n < 1:
         raise ValueError("c, b, epsilon must be positive and n >= 1")
-    inv = 1 / eps
-    if inv.denominator == 1 and (b + 1).denominator == 1:
-        base = c * Fraction(n) ** int(b + 1)
-        return math.ceil(base ** inv.numerator) + 1
-    return math.ceil((float(c) * float(n) ** float(b + 1)) ** float(inv)) + 1
+    p, q = eps.numerator, eps.denominator
+    r, s = (b + 1).numerator, (b + 1).denominator
+    u, w = c.numerator, c.denominator
+    # y^(p*s) * w^(q*s) >= u^(q*s) * n^(r*q) iff y^(p*s) >= need, and need >= 1
+    need = -(-u ** (q * s) * n ** (r * q) // w ** (q * s))
+    lo, hi = 0, 1 << -(-need.bit_length() // (p * s))  # lo^(p*s) < need <= hi^(p*s)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid ** (p * s) >= need else (mid, hi)
+    return hi + 1

@@ -4,8 +4,8 @@ The sqrt(psum)-approximation works machine-rank-wise (fastest first): a
 capacity lower bound found by a heap sweep over the integer capacity
 breakpoints, list scheduling of the inequitable color classes onto machine
 groups with inflated budgets, and a 2-machine FPTAS fallback. The exact Q2
-unit-job solver enumerates job-count splits and certifies each with the
-FPTAS at eps below 1/n.
+unit-job solver is one subset sum over the conflict components: each
+component puts one of its two sides on the fastest machine.
 """
 
 from __future__ import annotations
@@ -56,17 +56,11 @@ def min_time_capacity_at_least(speeds: Sequence[Fraction], target: int) -> Fract
 
 
 @dataclass(frozen=True)
-class CapacityProfile:
-    """Per-machine rounded capacities at a given time, in rank order."""
-
-    time: Fraction
-    caps: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class OptLb:
+    """The bound ``value`` and the rounded capacities at it, in rank order."""
+
     value: Fraction
-    witness: CapacityProfile
+    caps: tuple[int, ...]
 
 
 def opt_lb(inst: Instance, independent: Iterable[int]) -> OptLb:
@@ -87,7 +81,7 @@ def opt_lb(inst: Instance, independent: Iterable[int]) -> OptLb:
     t_rest = min_time_capacity_at_least(speeds[1:], rest) if rest else Fraction(0)
     t_max = Fraction(pmax) / speeds[0]
     value = max(t_all, t_rest, t_max)
-    return OptLb(value, CapacityProfile(value, tuple(capacity(s, value) for s in speeds)))
+    return OptLb(value, tuple(capacity(s, value) for s in speeds))
 
 
 def list_schedule(jobs: Sequence[tuple[int, int]],
@@ -170,7 +164,7 @@ def _schedule_s2(inst: Instance, ind: frozenset[int], lb: OptLb) -> Schedule | N
     speeds = inst.env.speeds_by_rank()
     labels = inst.env.ranks
     m = inst.env.m
-    caps = lb.witness.caps
+    caps = lb.caps
     margin = _ceil_sqrt(psum)
 
     rest = [j for j in range(inst.n) if j not in ind]
@@ -289,40 +283,35 @@ def sqrt_psum_schedule(inst: Instance) -> Schedule:
 def q2_exact_unit(inst: Instance) -> Schedule:
     """Exact solver for two uniform machines and unit jobs.
 
-    For every split (n1, n2) of the job count, an unrelated certification
-    instance with p[i][j] = n1*n2/n_i is handed to the FPTAS at
-    eps = 1/(n+1); the split is feasible iff the FPTAS puts exactly n1 jobs on
-    the first machine. The best feasible split (smallest n1 on ties) wins.
+    Each conflict component puts one side on the fastest machine, so n1 jobs can
+    run there iff n1 is a sum of one side size per component (Bodlaender, Jansen
+    & Woeginger, 1994). Bit k of the Python int ``reach`` marks such sums; a
+    component with side sizes a, b maps it to ``(reach << a) | (reach << b)``.
+    As the reachable n1 are exactly those of valid schedules, the least reachable
+    ``(max(n1/s1, n2/s2), n1)`` is optimal, smallest n1 on ties. The backward pass
+    that picks the sides keeps c prefix bitsets of at most n bits: n*c/8 bytes.
     """
     if inst.env.kind not in (MachineKind.UNIFORM, MachineKind.IDENTICAL) or inst.env.m != 2:
         raise ValueError("exactly 2 uniform machines required")
     if any(job.p != 1 for job in inst.jobs):
         raise ValueError("unit jobs required")
     n = inst.n
-    ranks = inst.env.ranks
-    s1 = inst.env.speed_of(ranks[0])
-    s2 = inst.env.speed_of(ranks[1])
-    eps = Fraction(1, n + 1)
-
-    best: tuple[Fraction, int, tuple[int, ...]] | None = None
-
-    def offer(value: Fraction, n1: int, rank_assignment: tuple[int, ...]) -> None:
-        nonlocal best
-        if best is None or (value, n1) < (best[0], best[1]):
-            best = (value, n1, rank_assignment)
-
-    if not inst.conflicts.edges:
-        offer(Fraction(n) / s2, 0, (1,) * n)
-        offer(Fraction(n) / s1, n, (0,) * n)
-    for n1 in range(1, n):
-        n2 = n - n1
-        jobs = tuple(Job(id=j, p_row=(n2, n1)) for j in range(n))
-        cert = Instance(jobs, MachineEnv.unrelated(2), inst.conflicts)
-        sched = fptas_r2_bipartite(cert, eps)
-        if sum(1 for x in sched.assignment if x == 0) == n1:
-            offer(max(Fraction(n1) / s1, Fraction(n2) / s2), n1, sched.assignment)
-
-    if best is None:
-        raise InfeasibleError("no feasible job split found")
-    _, _, rank_assignment = best
-    return Schedule(tuple(ranks[x] for x in rank_assignment))
+    fast, slow = inst.env.ranks
+    s1, s2 = inst.env.speed_of(fast), inst.env.speed_of(slow)
+    g = inst.conflicts
+    steps = []  # (component, its side-0 size, the reachable counts before it)
+    reach = 1
+    for comp in g.components:
+        a = sum(1 for v in comp if g.side[v] == 0)
+        steps.append((comp, a, reach))
+        reach = (reach << a) | (reach << (len(comp) - a))
+    n1 = min((k for k in range(n + 1) if reach >> k & 1),
+             key=lambda k: (max(Fraction(k) / s1, Fraction(n - k) / s2), k))
+    assignment = [slow] * n
+    for comp, a, before in reversed(steps):
+        fast_side = 0 if n1 >= a and before >> (n1 - a) & 1 else 1
+        n1 -= len(comp) - a if fast_side else a
+        for v in comp:
+            if g.side[v] == fast_side:
+                assignment[v] = fast
+    return Schedule(tuple(assignment))

@@ -11,8 +11,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from bipsched import BipGraph, CoreResult, Instance, MachineKind, Schedule
+from bipsched import (BipGraph, CoreResult, Instance, Job, MachineEnv, MachineKind,
+                      Schedule, fptas_r2_bipartite)
 from bipsched import makespan as eval_makespan, validate
+from bipsched.errors import InfeasibleError
 
 
 def exhaustive_min_makespan(inst: Instance):
@@ -156,3 +158,47 @@ def reference_fptas_r2_core(jobs: Sequence[tuple[int, int]], epsilon) -> CoreRes
     if state_count > bound:
         raise AssertionError(f"DP state count {state_count} exceeds bound {bound}")
     return CoreResult(tuple(assignment), state_count, delta, horizon)
+
+
+# The paper's exact Q2 unit-job construction, kept verbatim as the reference
+# for the subset-sum solver: one FPTAS certification instance per job split.
+def reference_q2_exact_unit(inst: Instance) -> Schedule:
+    """Exact solver for two uniform machines and unit jobs.
+
+    For every split (n1, n2) of the job count, an unrelated certification
+    instance with p[i][j] = n1*n2/n_i is handed to the FPTAS at
+    eps = 1/(n+1); the split is feasible iff the FPTAS puts exactly n1 jobs on
+    the first machine. The best feasible split (smallest n1 on ties) wins.
+    """
+    if inst.env.kind not in (MachineKind.UNIFORM, MachineKind.IDENTICAL) or inst.env.m != 2:
+        raise ValueError("exactly 2 uniform machines required")
+    if any(job.p != 1 for job in inst.jobs):
+        raise ValueError("unit jobs required")
+    n = inst.n
+    ranks = inst.env.ranks
+    s1 = inst.env.speed_of(ranks[0])
+    s2 = inst.env.speed_of(ranks[1])
+    eps = Fraction(1, n + 1)
+
+    best: tuple[Fraction, int, tuple[int, ...]] | None = None
+
+    def offer(value: Fraction, n1: int, rank_assignment: tuple[int, ...]) -> None:
+        nonlocal best
+        if best is None or (value, n1) < (best[0], best[1]):
+            best = (value, n1, rank_assignment)
+
+    if not inst.conflicts.edges:
+        offer(Fraction(n) / s2, 0, (1,) * n)
+        offer(Fraction(n) / s1, n, (0,) * n)
+    for n1 in range(1, n):
+        n2 = n - n1
+        jobs = tuple(Job(id=j, p_row=(n2, n1)) for j in range(n))
+        cert = Instance(jobs, MachineEnv.unrelated(2), inst.conflicts)
+        sched = fptas_r2_bipartite(cert, eps)
+        if sum(1 for x in sched.assignment if x == 0) == n1:
+            offer(max(Fraction(n1) / s1, Fraction(n2) / s2), n1, sched.assignment)
+
+    if best is None:
+        raise InfeasibleError("no feasible job split found")
+    _, _, rank_assignment = best
+    return Schedule(tuple(ranks[x] for x in rank_assignment))

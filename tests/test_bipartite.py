@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from bipsched import (BipGraph, SplitMix64, bipartition,
-                      independent_set_containing, inequitable_two_coloring,
-                      max_matching, max_weight_independent_set)
+from bipsched import (BipGraph, SplitMix64, independent_set_containing,
+                      inequitable_two_coloring, max_matching,
+                      max_weight_independent_set)
 from bipsched.errors import NotBipartiteError
 from bipsched.randgraph import draw_threshold, substream_seed
 
@@ -26,7 +26,7 @@ def random_bipartite(seed, max_n=12, weighted=False):
 
 def test_bipartition_single_edge():
     g = BipGraph(2, [(0, 1)])
-    assert bipartition(g).side == (0, 1)
+    assert g.side == (0, 1)
 
 
 def test_bipartition_triangle_witness():
@@ -42,7 +42,7 @@ def test_bipartition_triangle_witness():
 
 def test_bipartition_isolated_default_side():
     g = BipGraph(2)
-    assert bipartition(g).side == (0, 0)
+    assert g.side == (0, 0)
 
 
 def test_odd_cycle_witness_on_larger_graph():

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipsched import BipGraph, Instance, Job, MachineEnv, unit_jobs
 from bipsched.cli import (canonical_dumps, fmt_rational, parse_instance,
@@ -233,3 +234,104 @@ def test_gen_gadget_and_hardness(tmp_path):
     assert run(["gen", "hardness-unrelated", "-i", str(base),
                 "--anchors", "0,1,3", "--d", "5", "-o", str(upath)]) == 0
     assert parse_instance(str(upath)).env.m == 3
+
+
+STRICT_DOCS = {
+    "uniform": {"edges": [[0, 1]], "jobs": [{"id": 0, "p": 2}, {"id": 1, "p": 1}],
+                "machines": {"kind": "uniform", "m": 2, "speeds": ["2/1", "1/1"]}},
+    "unrelated": {"edges": [[0, 1]],
+                  "jobs": [{"id": 0, "p_row": [2, 3]}, {"id": 1, "p_row": [7, 9]}],
+                  "machines": {"kind": "unrelated", "m": 2}},
+}
+
+
+@pytest.mark.parametrize("doc, path, value", [
+    ("uniform", ("jobs", 0, "p"), 2.7),
+    ("uniform", ("jobs", 0, "p"), True),
+    ("uniform", ("jobs", 0, "p"), "3"),
+    ("uniform", ("jobs", 0, "id"), 0.5),
+    ("uniform", ("machines", "m"), 2.0),
+    ("unrelated", ("jobs", 0, "p_row"), [1.9, 2]),
+    ("uniform", ("edges", 0), [0, 1.5]),
+    ("uniform", ("edges",), 7),
+    ("uniform", ("edges",), [[0, None]]),
+    ("uniform", ("machines", "speeds"), [2, 1]),
+    ("uniform", ("machines", "speeds"), "21"),
+])
+def test_instance_numbers_are_strict(tmp_path, capsys, doc, path, value):
+    obj = json.loads(json.dumps(STRICT_DOCS[doc]))
+    _set_path(obj, path, value)
+    inst = write(tmp_path / "i.json", json.dumps(obj))
+    assert run(["solve", "--alg", "oracle", "-i", inst, "-o", str(tmp_path / "s.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("sched", [
+    {"assignment": [0.0, 1], "makespan": "1/1"},
+    {"assignment": [True, 0], "makespan": "2/1"},
+    {"assignment": 1, "makespan": "1/1"},
+    {"assignment": [0, 1], "makespan": 1},
+])
+def test_schedule_numbers_are_strict(tmp_path, capsys, sched):
+    inst = write(tmp_path / "i.json", json.dumps(STRICT_DOCS["uniform"]))
+    path = write(tmp_path / "s.json", json.dumps(sched))
+    assert run(["verify", "-i", inst, "-s", path]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _set_path(obj, path, value):
+    _get_path(obj, path[:-1])[path[-1]] = value
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _get_path(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def retyped_documents(draw):
+    """A valid instance and schedule with one field set to a value of another JSON type."""
+    kind = draw(st.sampled_from(sorted(STRICT_DOCS)))
+    docs = {"instance": json.loads(json.dumps(STRICT_DOCS[kind])),
+            "schedule": {"assignment": [0, 1],
+                         "makespan": {"uniform": "1/1", "unrelated": "9/1"}[kind]}}
+    which = draw(st.sampled_from(sorted(docs)))
+    path = draw(st.sampled_from(list(_paths(docs[which]))))
+    old = _get_path(docs[which], path)
+    value = draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    if path:
+        _set_path(docs[which], path, value)
+    else:
+        docs[which] = value
+    return docs
+
+
+@settings(max_examples=200, deadline=None)
+@given(retyped_documents())
+def test_retyped_fields_end_in_an_exit_code(tmp_path_factory, docs):
+    base = tmp_path_factory.mktemp("retyped")
+    inst = write(base / "i.json", json.dumps(docs["instance"]))
+    sched = write(base / "s.json", json.dumps(docs["schedule"]))
+    for argv in (["solve", "--alg", "oracle", "-i", inst, "-o", str(base / "o.json")],
+                 ["verify", "-i", inst, "-s", sched]):
+        assert run(argv) in (0, 1, 2, 3)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -165,7 +166,28 @@ def test_distinguishing_d():
     # exact integer path: (1 * 4^2)^2 + 1
     assert distinguishing_d(1, 4, 1, Fraction(1, 2)) == 257
     assert distinguishing_d(1, 2, 1, 1) == 5
-    # float path still returns a positive integer
-    assert distinguishing_d(1, 3, Fraction(1, 2), Fraction(1, 3)) >= 2
+    # 3^(3/2 * 3) = 140.3...
+    assert distinguishing_d(1, 3, Fraction(1, 2), Fraction(1, 3)) == 142
+    # (5000^(4/3))^3 = 5000^4 exactly, so d must exceed it
+    assert distinguishing_d(1, 5000, Fraction(1, 3), Fraction(1, 3)) == 5000 ** 4 + 1
+    # (1000^(3/2))^5 = 10^22.5
+    assert distinguishing_d(1, 1000, Fraction(1, 2), Fraction(1, 5)) == math.isqrt(10 ** 45) + 2
     with pytest.raises(ValueError):
         distinguishing_d(0, 3, 1, 1)
+
+
+@pytest.mark.parametrize("c", [1, Fraction(7, 3)])
+@pytest.mark.parametrize("b", [Fraction(1, 3), Fraction(1, 2), 1, Fraction(5, 2)])
+@pytest.mark.parametrize("eps", [Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), 1])
+def test_distinguishing_d_is_least_above_the_gap(c, b, eps):
+    # d^eps > c * n^(b+1) and (d-2)^eps < c * n^(b+1), compared as integers:
+    # y^eps >= c * n^(b+1)  iff  y^(p*s) * w^(q*s) >= u^(q*s) * n^(r*q)
+    c, b, eps = Fraction(c), Fraction(b), Fraction(eps)
+    p, q = eps.numerator, eps.denominator
+    r, s = (b + 1).numerator, (b + 1).denominator
+    u, w = c.numerator, c.denominator
+    for n in (1, 2, 7, 1000, 5000):
+        d = distinguishing_d(c, n, b, eps)
+        target = u ** (q * s) * n ** (r * q)
+        assert d ** (p * s) * w ** (q * s) > target
+        assert (d - 2) ** (p * s) * w ** (q * s) < target

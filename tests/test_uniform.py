@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipsched import (BipGraph, Instance, Job, MachineEnv, SplitMix64,
                       exact_min_makespan, list_schedule, makespan,
@@ -12,7 +13,7 @@ from bipsched.errors import CapacityOverflow, InfeasibleError
 from bipsched.randgraph import substream_seed
 from bipsched.suites import q2_unit_instance, uniform_instance
 
-from conftest import exhaustive_min_makespan, opt_lb_by_scan
+from conftest import exhaustive_min_makespan, opt_lb_by_scan, reference_q2_exact_unit
 
 
 def uniform_inst(speeds, ps, edges=(), allow_sub_unit=False):
@@ -32,7 +33,7 @@ def test_opt_lb_examples():
     inst = uniform_inst([2, 1], (3, 1, 1, 1))
     lb = opt_lb(inst, {0, 1, 2, 3})
     assert lb.value == 2
-    assert lb.witness.caps == (4, 2)
+    assert lb.caps == (4, 2)
 
     inst = uniform_inst([1], (5,))
     assert opt_lb(inst, {0}).value == 5
@@ -62,7 +63,7 @@ def test_opt_lb_matches_breakpoint_scan():
         lb = opt_lb(inst, ind)
         assert lb.value == opt_lb_by_scan(inst, ind)
         caps = tuple(int(sp * lb.value) for sp in inst.env.speeds_by_rank())
-        assert lb.witness.caps == caps
+        assert lb.caps == caps
 
 
 def test_opt_lb_minimality_one_condition_fails_below():
@@ -265,3 +266,29 @@ def test_q2_exhaustive_tiny_graphs():
                     assert validate(sched, inst).valid
                     _, opt = exhaustive_min_makespan(inst)
                     assert makespan(sched, inst) == opt
+
+
+@st.composite
+def q2_unit_inputs(draw):
+    n = draw(st.integers(1, 40))
+    side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    density = draw(st.sampled_from((0, 1, 2, 10, 50)))
+    cross = [(a, b) for a in range(n) for b in range(a + 1, n) if side[a] != side[b]]
+    edges = [e for e in cross if draw(st.integers(0, 99)) < density] if density else []
+    if draw(st.booleans()):
+        env = MachineEnv.identical(2)
+    else:
+        speed = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+        env = MachineEnv.uniform([draw(speed), draw(speed)], allow_sub_unit=True)
+    return Instance(unit_jobs(n), env, BipGraph(n, edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q2_unit_inputs())
+def test_q2_matches_certification_reference(inst):
+    sched = q2_exact_unit(inst)
+    ref = reference_q2_exact_unit(inst)
+    assert validate(sched, inst).valid
+    fast = inst.env.ranks[0]
+    assert makespan(sched, inst) == makespan(ref, inst)
+    assert sched.assignment.count(fast) == ref.assignment.count(fast)
