@@ -4,7 +4,8 @@ Provides the vertex-weighted bipartite graph container plus the four
 subroutines the schedulers rely on: certified 2-coloring, inequitable
 2-coloring, maximum matching (Hopcroft-Karp) and maximum-weight independent
 sets via max-flow/min-cut, optionally constrained to contain a prescribed
-independent set.
+independent set. Graphs are immutable, so the components and the inequitable
+2-coloring are computed once per graph and cached.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import NotBipartiteError
+from .errors import NotBipartiteError, strict_int
 
 
 def _two_color(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -58,7 +59,8 @@ def _odd_walk(u: int, v: int, parent: Sequence[int]) -> list[int]:
 class BipGraph:
     """Simple bipartite graph with positive integer vertex weights.
 
-    Edges are canonicalized (sorted, deduplicated, (lo, hi) order); self-loops
+    Weights must be integers; bools and floats raise ValueError. Edges are
+    canonicalized (sorted, deduplicated, (lo, hi) order); self-loops
     are rejected. A proper 2-coloring is computed at construction time, so any
     existing BipGraph is certified bipartite: non-bipartite edge sets raise
     NotBipartiteError from the constructor.
@@ -81,7 +83,8 @@ class BipGraph:
         if weights is None:
             self.weights = (1,) * n_vertices
         else:
-            ws = tuple(int(w) for w in weights)
+            ws = tuple(w if type(w) is int else strict_int(w, "vertex weight")
+                       for w in weights)
             if len(ws) != n_vertices:
                 raise ValueError("one weight per vertex required")
             if any(w <= 0 for w in ws):
@@ -118,6 +121,22 @@ class BipGraph:
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
+    @cached_property
+    def _inequitable_coloring(self) -> tuple[frozenset[int], frozenset[int]]:
+        """Cached result of inequitable_two_coloring."""
+        side, weights = self.side, self.weights
+        v1: list[int] = []
+        v2: list[int] = []
+        for comp in self.components:
+            w = [0, 0]
+            for v in comp:
+                w[side[v]] += weights[v]
+            # comp[0] is the BFS root, always on side 0, so ties favor side 0
+            heavy = 0 if w[0] >= w[1] else 1
+            for v in comp:
+                (v1 if side[v] == heavy else v2).append(v)
+        return frozenset(v1), frozenset(v2)
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -145,23 +164,10 @@ def inequitable_two_coloring(g: BipGraph) -> tuple[frozenset[int], frozenset[int
     """Proper 2-coloring (V1, V2) maximizing the total weight of V1.
 
     Per component the heavier side goes to V1; on ties the side containing the
-    smallest vertex id of the component wins. Runs in O(|V| + |E|).
+    smallest vertex id of the component wins. Runs in O(|V| + |E|) once per
+    graph; later calls return the cached result.
     """
-    v1: list[int] = []
-    v2: list[int] = []
-    for comp in g.components:
-        side0 = [v for v in comp if g.side[v] == 0]
-        side1 = [v for v in comp if g.side[v] == 1]
-        w0 = g.total_weight(side0)
-        w1 = g.total_weight(side1)
-        # comp[0] is the BFS root, always on side 0, so ties favor side 0
-        if w0 >= w1:
-            v1 += side0
-            v2 += side1
-        else:
-            v1 += side1
-            v2 += side0
-    return frozenset(v1), frozenset(v2)
+    return g._inequitable_coloring
 
 
 _INF = -1

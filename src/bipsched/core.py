@@ -9,20 +9,12 @@ sum per machine determines the makespan.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 from .bipartite import BipGraph
-from .errors import MalformedScheduleError, UnsupportedQueryError
-
-
-def strict_int(value, what: str) -> int:
-    """``value`` if it is an integer; bools, floats and strings raise ValueError."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
+from .errors import MalformedScheduleError, UnsupportedQueryError, strict_int
 
 
 class MachineKind(enum.Enum):
@@ -42,8 +34,11 @@ class Job:
     def __post_init__(self):
         if (self.p is None) == (self.p_row is None):
             raise ValueError(f"job {self.id}: exactly one of p / p_row required")
-        if self.p is not None and self.p < 1:
-            raise ValueError(f"job {self.id}: processing requirement must be >= 1")
+        if self.p is not None:
+            if type(self.p) is not int:
+                object.__setattr__(self, "p", strict_int(self.p, f"job {self.id}: p"))
+            if self.p < 1:
+                raise ValueError(f"job {self.id}: processing requirement must be >= 1")
         if self.p_row is not None:
             what = f"job {self.id}: p_row entry"
             object.__setattr__(self, "p_row", tuple(strict_int(x, what) for x in self.p_row))

@@ -1,6 +1,15 @@
-"""Shared exception types."""
+"""Shared exception types and the strict integer reader."""
 
 from __future__ import annotations
+
+import operator
+
+
+def strict_int(value, what: str) -> int:
+    """``value`` if it is an integer; bools, floats and strings raise ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 class SchedulingError(Exception):

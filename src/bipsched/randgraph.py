@@ -3,7 +3,9 @@
 The generator draws one splitmix64 variate per cross pair in row-major order
 and keeps the edge iff draw / 2^64 < p, decided by exact integer comparison,
 so realizations are bit-identical across runs and platforms for a fixed
-(seed, n, p). A vectorized path reproduces the scalar stream exactly.
+(seed, n, p). One blocked numpy path computes the stream in fixed blocks of
+pairs for every n, in O(block + edges) memory; the pair-by-pair scalar
+sampler is kept in the test suite as its reference.
 """
 
 from __future__ import annotations
@@ -80,27 +82,45 @@ def draw_threshold(p: Fraction) -> int:
     return -((-p.numerator << 64) // p.denominator)
 
 
-def _edges_scalar(n: int, threshold: int, seed: int) -> list[tuple[int, int]]:
-    rng = SplitMix64(seed)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if rng.next_u64() < threshold:
-                edges.append((i, n + j))
-    return edges
+# pairs per block: the sampler's fixed memory is a few block-sized arrays
+_BLOCK = 1 << 16
 
 
-def _edges_vectorized(n: int, threshold: int, seed: int) -> list[tuple[int, int]]:
-    golden = np.uint64(GOLDEN)
-    m1 = np.uint64(_MIX1)
-    m2 = np.uint64(_MIX2)
-    t = np.arange(1, n * n + 1, dtype=np.uint64)
-    z = (np.uint64(seed & MASK64) + t * golden)
-    z = (z ^ (z >> np.uint64(30))) * m1
-    z = (z ^ (z >> np.uint64(27))) * m2
-    z = z ^ (z >> np.uint64(31))
-    hits = np.nonzero(z < np.uint64(threshold))[0]
-    return [(int(h) // n, n + int(h) % n) for h in hits]
+def _edges(n: int, threshold: int, seed: int) -> list[tuple[int, int]]:
+    """Cross pairs (i, n + j) whose draw is below threshold, in row-major order.
+
+    Reproduces the SplitMix64(seed) stream over the n*n pairs block by block,
+    so memory stays O(_BLOCK + edges) for any n. Needs 0 < threshold < 2^64.
+    """
+    total = n * n
+    block = min(_BLOCK, total)
+    # draw t of the block starting at pair `start` is
+    # mix64(base + steps[t - start]) with base = seed + start*GOLDEN
+    steps = np.arange(1, block + 1, dtype=np.uint64)
+    np.multiply(steps, np.uint64(GOLDEN), out=steps)
+    z = np.empty(block, dtype=np.uint64)
+    tmp = np.empty(block, dtype=np.uint64)
+    below = np.empty(block, dtype=bool)
+    thr = np.uint64(threshold)
+    s30, s27, s31 = np.uint64(30), np.uint64(27), np.uint64(31)
+    m1, m2 = np.uint64(_MIX1), np.uint64(_MIX2)
+    hits = []
+    for start in range(0, total, block):
+        size = min(block, total - start)
+        zb, tb, bb = z[:size], tmp[:size], below[:size]
+        np.add(steps[:size], np.uint64((seed + start * GOLDEN) & MASK64), out=zb)
+        np.right_shift(zb, s30, out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.multiply(zb, m1, out=zb)
+        np.right_shift(zb, s27, out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.multiply(zb, m2, out=zb)
+        np.right_shift(zb, s31, out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.less(zb, thr, out=bb)
+        hits.append(np.flatnonzero(bb) + start)
+    idx = np.concatenate(hits)
+    return list(zip((idx // n).tolist(), (idx % n + n).tolist()))
 
 
 def gen_gilbert(params: GilbertParams) -> BipGraph:
@@ -108,14 +128,11 @@ def gen_gilbert(params: GilbertParams) -> BipGraph:
     n = params.n
     if params.p == 0:
         return BipGraph(2 * n)
-    if params.p == 1:
-        return BipGraph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
     threshold = draw_threshold(params.p)
-    if n * n >= 4096:
-        edges = _edges_vectorized(n, threshold, params.seed)
-    else:
-        edges = _edges_scalar(n, threshold, params.seed)
-    return BipGraph(2 * n, edges)
+    if threshold > MASK64:
+        # every draw lies below: p == 1, or p within 2^-64 of it
+        return BipGraph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+    return BipGraph(2 * n, _edges(n, threshold, params.seed))
 
 
 def _unit_graph(g: BipGraph) -> BipGraph:
@@ -209,10 +226,11 @@ def mc_stats(params: GilbertParams, env: MachineEnv,
     """
     if trials < 1:
         raise ValueError("at least one trial required")
+    n = params.n
+    jobs = unit_jobs(2 * n)
     rows: list[McStats] = []
     for t in range(trials):
-        g = gen_gilbert(GilbertParams(params.n, params.p, substream_seed(params.seed, t)))
-        n = params.n
+        g = gen_gilbert(GilbertParams(n, params.p, substream_seed(params.seed, t)))
         isolated_v2 = sum(1 for v in range(n, 2 * n) if g.degree(v) == 0)
         _, v2 = inequitable_two_coloring(g)
         mu, _ = max_matching(g)
@@ -221,7 +239,7 @@ def mc_stats(params: GilbertParams, env: MachineEnv,
             if len(max_weight_independent_set(g)) != alpha:
                 raise AssertionError("Koenig identity alpha + mu = 2n violated")
         sched, lb = alg2_schedule_with_lb(g, env)
-        inst = Instance(unit_jobs(2 * n), env, g)
+        inst = Instance(jobs, env, g)
         if not validate(sched, inst).valid:
             raise AssertionError("alg2 produced a conflicting schedule")
         cmax = eval_makespan(sched, inst)

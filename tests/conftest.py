@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from bipsched import (BipGraph, CoreResult, Instance, Job, MachineEnv, MachineKind,
-                      Schedule, fptas_r2_bipartite)
+                      Schedule, SplitMix64, fptas_r2_bipartite)
 from bipsched import makespan as eval_makespan, validate
 from bipsched.errors import InfeasibleError
 
@@ -43,6 +43,36 @@ def best_first_class_weight(g: BipGraph) -> int:
     """Max over proper 2-colorings of the weight of the first color class."""
     return max(sum(w for v, w in enumerate(g.weights) if sides[v] == 0)
                for sides in proper_two_colorings(g))
+
+
+def reference_inequitable_two_coloring(g: BipGraph) -> tuple[frozenset[int], frozenset[int]]:
+    """Per-component inequitable 2-coloring: heavier side to V1, ties to side 0."""
+    v1: list[int] = []
+    v2: list[int] = []
+    for comp in g.components:
+        side0 = [v for v in comp if g.side[v] == 0]
+        side1 = [v for v in comp if g.side[v] == 1]
+        w0 = g.total_weight(side0)
+        w1 = g.total_weight(side1)
+        # comp[0] is the BFS root, always on side 0, so ties favor side 0
+        if w0 >= w1:
+            v1 += side0
+            v2 += side1
+        else:
+            v1 += side1
+            v2 += side0
+    return frozenset(v1), frozenset(v2)
+
+
+def reference_edges_scalar(n: int, threshold: int, seed: int) -> list[tuple[int, int]]:
+    """Gilbert edges drawn pair by pair from one SplitMix64 stream, row-major."""
+    rng = SplitMix64(seed)
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if rng.next_u64() < threshold:
+                edges.append((i, n + j))
+    return edges
 
 
 def all_independent_sets(g: BipGraph):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipsched import (BipGraph, SplitMix64, independent_set_containing,
                       inequitable_two_coloring, max_matching,
@@ -9,7 +11,7 @@ from bipsched.errors import NotBipartiteError
 from bipsched.randgraph import draw_threshold, substream_seed
 
 from conftest import (best_first_class_weight, brute_max_weight_is,
-                      brute_max_weight_is_containing)
+                      brute_max_weight_is_containing, reference_inequitable_two_coloring)
 
 
 def random_bipartite(seed, max_n=12, weighted=False):
@@ -86,6 +88,36 @@ def test_inequitable_is_optimal_on_random_graphs():
         assert g.total_weight(v1) >= g.total_weight(v2)
         assert all(g.side[a] != g.side[b] for a, b in g.edges)
         assert g.total_weight(v1) == best_first_class_weight(g)
+
+
+@st.composite
+def weighted_bipartite(draw, max_n=40):
+    """Vertex-weighted bipartite graph; weights 1..5 make equal-weight sides common."""
+    n = draw(st.integers(0, max_n))
+    part = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cross = [(a, b) for a in range(n) for b in range(a + 1, n) if part[a] != part[b]]
+    edges = draw(st.lists(st.sampled_from(cross), max_size=2 * n)) if cross else []
+    weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return BipGraph(n, edges, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=weighted_bipartite())
+def test_inequitable_matches_per_component_reference(g):
+    got = inequitable_two_coloring(g)
+    assert got == reference_inequitable_two_coloring(g)
+    assert inequitable_two_coloring(g) is got
+
+
+def test_weights_must_be_integers():
+    with pytest.raises(ValueError):
+        BipGraph(2, [], [1.5, 2])
+    with pytest.raises(ValueError):
+        BipGraph(2, [], [True, 2])
+    with pytest.raises(ValueError):
+        BipGraph(2, [], ["3", 2])
+    g = BipGraph(2, [], [np.int64(3), 2])
+    assert g.weights == (3, 2) and type(g.weights[0]) is int
 
 
 def test_matching_examples():

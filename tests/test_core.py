@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bipsched import (BipGraph, Instance, Job, MachineEnv, Schedule,
@@ -136,3 +137,11 @@ def test_job_and_instance_validation():
         Instance((Job(id=1, p=1),), MachineEnv.identical(1), BipGraph(1))
     with pytest.raises(ValueError):
         Instance(unit_jobs(2), MachineEnv.identical(1), BipGraph(3))
+
+
+def test_job_times_must_be_integers():
+    for bad in (2.5, 2.0, True, "3", Fraction(5, 2)):
+        with pytest.raises(ValueError):
+            Job(id=0, p=bad)
+    job = Job(id=0, p=np.int64(4))
+    assert job.p == 4 and type(job.p) is int

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipsched import (BipGraph, GilbertParams, Instance, MachineEnv,
                       SplitMix64, alg2_schedule, alg2_schedule_with_lb,
                       gen_gilbert, makespan, mc_stats, ratio_limit,
                       substream_seed, unit_jobs, validate)
 from bipsched.errors import InfeasibleError
-from bipsched.randgraph import _edges_scalar, _edges_vectorized, draw_threshold, mix64
+from bipsched.randgraph import _edges, draw_threshold, mix64
+
+from conftest import reference_edges_scalar
 
 
 def test_splitmix_stream_regression():
@@ -55,11 +59,40 @@ def test_gilbert_edge_count_concentration():
     assert abs(len(g.edges) - mean) <= 4 * sigma
 
 
-def test_scalar_and_vectorized_paths_agree():
-    for n in (1, 7, 33, 70, 101):
-        for seed in (0, 7, 123456789):
-            thr = draw_threshold(Fraction(1, max(2, n)))
-            assert _edges_scalar(n, thr, seed) == _edges_vectorized(n, thr, seed)
+@settings(max_examples=120, deadline=None)
+@given(n=st.one_of(st.integers(1, 70), st.sampled_from([255, 256, 257, 300])),
+       p_kind=st.sampled_from(["1/n", "1/2", "1-2^-20"]),
+       seed=st.one_of(st.sampled_from([0, 1, (1 << 64) - 5, (1 << 64) - 1]),
+                      st.integers(0, (1 << 64) - 1)))
+def test_blocked_sampler_matches_scalar_reference(n, p_kind, seed):
+    # n >= 256 crosses the 2^16-pair block boundary; seeds near 2^64 wrap
+    p = {"1/n": Fraction(1, n), "1/2": Fraction(1, 2),
+         "1-2^-20": 1 - Fraction(1, 1 << 20)}[p_kind]
+    thr = draw_threshold(p)
+    if thr == 1 << 64:
+        return  # p == 1 at n == 1: gen_gilbert never samples it
+    assert _edges(n, thr, seed) == reference_edges_scalar(n, thr, seed)
+
+
+def test_gilbert_probability_next_to_one():
+    # the threshold rounds up to 2^64 here, so every draw lies below it
+    p = 1 - Fraction(1, 1 << 70)
+    assert draw_threshold(p) == 1 << 64
+    g = gen_gilbert(GilbertParams(70, p, 3))
+    assert len(g.edges) == 70 * 70
+    assert reference_edges_scalar(70, draw_threshold(p), 3) == list(g.edges)
+
+
+def test_gilbert_sampler_memory_is_bounded():
+    # one uint64 array over all n^2 = 4e6 pairs would take 30.5 MiB alone
+    params = GilbertParams(2000, Fraction(1, 2000), 5)
+    tracemalloc.start()
+    try:
+        gen_gilbert(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_alg2_edgeless():
