@@ -4,8 +4,10 @@ Provides the vertex-weighted bipartite graph container plus the four
 subroutines the schedulers rely on: certified 2-coloring, inequitable
 2-coloring, maximum matching (Hopcroft-Karp) and maximum-weight independent
 sets via max-flow/min-cut, optionally constrained to contain a prescribed
-independent set. Graphs are immutable, so the components and the inequitable
-2-coloring are computed once per graph and cached.
+independent set. The one BFS that 2-colors a graph also records each
+connected component as its two sides, the binary choice every two-machine
+solver makes. Graphs are immutable, so the inequitable 2-coloring is
+computed once per graph and cached.
 """
 
 from __future__ import annotations
@@ -17,28 +19,36 @@ from typing import Iterable, Sequence
 from .errors import NotBipartiteError, strict_int
 
 
-def _two_color(n: int, adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def _two_color(n: int, adj: Sequence[Sequence[int]]
+               ) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
     """BFS 2-coloring; component roots (smallest unvisited id) get side 0.
 
-    Raises NotBipartiteError with an odd-closed-walk witness on failure.
+    Returns the side of every vertex and, per component in root order, its
+    side-0 and side-1 vertices in BFS order. Raises NotBipartiteError with an
+    odd-closed-walk witness on failure.
     """
     side = [-1] * n
     parent = [-1] * n
+    component_sides = []
     for root in range(n):
         if side[root] != -1:
             continue
         side[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        halves = ([root], [])
+        queue = [root]
+        for u in queue:  # appended to while walked: a FIFO queue
+            s = side[u] ^ 1
+            half = halves[s]
             for v in adj[u]:
                 if side[v] == -1:
-                    side[v] = side[u] ^ 1
+                    side[v] = s
                     parent[v] = u
+                    half.append(v)
                     queue.append(v)
-                elif side[v] == side[u]:
+                elif side[v] != s:
                     raise NotBipartiteError(_odd_walk(u, v, parent))
-    return tuple(side)
+        component_sides.append((tuple(halves[0]), tuple(halves[1])))
+    return tuple(side), tuple(component_sides)
 
 
 def _odd_walk(u: int, v: int, parent: Sequence[int]) -> list[int]:
@@ -63,7 +73,9 @@ class BipGraph:
     canonicalized (sorted, deduplicated, (lo, hi) order); self-loops
     are rejected. A proper 2-coloring is computed at construction time, so any
     existing BipGraph is certified bipartite: non-bipartite edge sets raise
-    NotBipartiteError from the constructor.
+    NotBipartiteError from the constructor. ``side[v]`` is the color of v;
+    ``component_sides`` lists the components by smallest vertex, each as its
+    (side-0, side-1) vertex tuples.
     """
 
     def __init__(self, n_vertices: int,
@@ -90,51 +102,27 @@ class BipGraph:
             if any(w <= 0 for w in ws):
                 raise ValueError("weights must be positive integers")
             self.weights = ws
-        self.side = _two_color(n_vertices, self.adjacency)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        adj: list[list[int]] = [[] for _ in range(n_vertices)]
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        return tuple(tuple(sorted(nb)) for nb in adj)
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components, each sorted, ordered by smallest member."""
-        seen = [False] * self.n_vertices
-        comps = []
-        for root in range(self.n_vertices):
-            if seen[root]:
-                continue
-            seen[root] = True
-            comp = [root]
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v in self.adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        queue.append(v)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        # sorted without a sort: the (lo, hi) edges are sorted, so each vertex
+        # meets its lower neighbors in order, then its higher ones
+        self.adjacency = tuple(map(tuple, adj))
+        self.side, self.component_sides = _two_color(n_vertices, self.adjacency)
 
     @cached_property
     def _inequitable_coloring(self) -> tuple[frozenset[int], frozenset[int]]:
         """Cached result of inequitable_two_coloring."""
-        side, weights = self.side, self.weights
+        weight = self.weights.__getitem__
         v1: list[int] = []
         v2: list[int] = []
-        for comp in self.components:
-            w = [0, 0]
-            for v in comp:
-                w[side[v]] += weights[v]
-            # comp[0] is the BFS root, always on side 0, so ties favor side 0
-            heavy = 0 if w[0] >= w[1] else 1
-            for v in comp:
-                (v1 if side[v] == heavy else v2).append(v)
+        for heavy, light in self.component_sides:
+            # side 0 holds the BFS root, so ties favor side 0
+            if sum(map(weight, heavy)) < sum(map(weight, light)):
+                heavy, light = light, heavy
+            v1 += heavy
+            v2 += light
         return frozenset(v1), frozenset(v2)
 
     def degree(self, v: int) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bipartite import BipGraph
 from .core import Instance, Job, MachineEnv, Schedule, unit_jobs
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, strict_int
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -43,7 +43,7 @@ class GadgetSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(strict_int(s, "gadget size") for s in self.sizes))
         if len(self.sizes) != _ARITY[self.kind]:
             raise ValueError(f"{self.kind.value} takes {_ARITY[self.kind]} sizes")
         if any(s < 1 for s in self.sizes):
@@ -167,7 +167,7 @@ class PrecolorInstance:
 
 
 def _check_extension(pre: PrecolorInstance, extension) -> tuple[int, ...]:
-    ext = tuple(int(c) for c in extension)
+    ext = tuple(strict_int(c, "extension color") for c in extension)
     if len(ext) != pre.graph.n_vertices:
         raise ValueError("extension must color every base vertex")
     if any(not (0 <= c < 3) for c in ext):

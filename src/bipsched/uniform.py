@@ -153,13 +153,12 @@ class SqrtPsumInfo:
     chosen: str
 
 
-def _weighted_conflicts(inst: Instance) -> BipGraph:
-    g = inst.conflicts
-    return BipGraph(g.n_vertices, g.edges, [job.p for job in inst.jobs])
+def _schedule_s2(inst: Instance, gw: BipGraph, ind: frozenset[int],
+                 lb: OptLb) -> Schedule | None:
+    """Step-11 placement with the proof's inflated budgets; None on overflow.
 
-
-def _schedule_s2(inst: Instance, ind: frozenset[int], lb: OptLb) -> Schedule | None:
-    """Step-11 placement with the proof's inflated budgets; None on overflow."""
+    ``gw`` is the conflict graph weighted by processing times.
+    """
     psum, _ = totals(inst)
     speeds = inst.env.speeds_by_rank()
     labels = inst.env.ranks
@@ -182,7 +181,6 @@ def _schedule_s2(inst: Instance, ind: frozenset[int], lb: OptLb) -> Schedule | N
         return None
 
     if rest:
-        gw = _weighted_conflicts(inst)
         sub, to_new = gw.induced(rest)
         to_old = {i: v for v, i in to_new.items()}
         w1, w2 = inequitable_two_coloring(sub)
@@ -240,7 +238,9 @@ def sqrt_psum_schedule_detailed(inst: Instance) -> tuple[Schedule, SqrtPsumInfo]
                                           None, None, "brute-force")
 
     heavy = frozenset(j for j in range(inst.n) if inst.jobs[j].p ** 2 >= psum)
-    ind = independent_set_containing(_weighted_conflicts(inst), heavy)
+    # the conflict graph weighted by processing times, built once per call
+    gw = BipGraph(inst.n, inst.conflicts.edges, [job.p for job in inst.jobs])
+    ind = independent_set_containing(gw, heavy)
 
     sub, (label_a, label_b) = _two_fastest_subinstance(inst)
     s1_two = fptas_r2_bipartite(sub, Fraction(1))
@@ -252,7 +252,7 @@ def sqrt_psum_schedule_detailed(inst: Instance) -> tuple[Schedule, SqrtPsumInfo]
     lb = None
     if ind is not None and m >= 3:
         lb = opt_lb(inst, ind)
-        s2 = _schedule_s2(inst, ind, lb)
+        s2 = _schedule_s2(inst, gw, ind, lb)
         if s2 is not None:
             s2_cmax = eval_makespan(s2, inst)
 
@@ -298,20 +298,18 @@ def q2_exact_unit(inst: Instance) -> Schedule:
     n = inst.n
     fast, slow = inst.env.ranks
     s1, s2 = inst.env.speed_of(fast), inst.env.speed_of(slow)
-    g = inst.conflicts
-    steps = []  # (component, its side-0 size, the reachable counts before it)
+    steps = []  # (a component's two sides, the reachable counts before it)
     reach = 1
-    for comp in g.components:
-        a = sum(1 for v in comp if g.side[v] == 0)
-        steps.append((comp, a, reach))
-        reach = (reach << a) | (reach << (len(comp) - a))
+    for halves in inst.conflicts.component_sides:
+        steps.append((halves, reach))
+        reach = (reach << len(halves[0])) | (reach << len(halves[1]))
     n1 = min((k for k in range(n + 1) if reach >> k & 1),
              key=lambda k: (max(Fraction(k) / s1, Fraction(n - k) / s2), k))
     assignment = [slow] * n
-    for comp, a, before in reversed(steps):
+    for halves, before in reversed(steps):
+        a = len(halves[0])
         fast_side = 0 if n1 >= a and before >> (n1 - a) & 1 else 1
-        n1 -= len(comp) - a if fast_side else a
-        for v in comp:
-            if g.side[v] == fast_side:
-                assignment[v] = fast
+        n1 -= len(halves[fast_side])
+        for v in halves[fast_side]:
+            assignment[v] = fast
     return Schedule(tuple(assignment))

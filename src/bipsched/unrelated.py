@@ -1,8 +1,9 @@
 """Two unrelated machines under bipartite conflicts.
 
-Connected components are merged into single decision jobs (each component can
-only be scheduled in one of two orientations, so it contributes mandatory
-per-machine base loads plus one binary choice). On the reduced jobs a
+Connected components are merged into single decision jobs: each component,
+read as its two sides from ``BipGraph.component_sides``, can only be scheduled
+in one of two orientations, so it contributes mandatory per-machine base loads
+plus one binary choice of the side that runs on machine 0. On the reduced jobs a
 min-entry rule gives a 2-approximation, and a scaled dynamic program gives a
 (1+eps)-approximation; two anchor jobs pin the mandatory base loads to their
 machines for the DP.
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bipartite import BipGraph
 from .core import Instance, MachineKind, Schedule, machine_loads
 
 
@@ -26,82 +28,58 @@ def _require_r2(inst: Instance) -> None:
 
 
 @dataclass(frozen=True)
-class ComponentChoice:
-    """One connected component and its two placements.
-
-    ``on_m1_if_m1`` lists the vertices that go to machine 0 when the
-    component's reduced job is assigned to machine 0; ``on_m1_if_m2``
-    likewise for machine 1. Dominated components ("dummies") have a single
-    fixed orientation, so both sets coincide.
-    """
-
-    vertices: tuple[int, ...]
-    on_m1_if_m1: frozenset[int]
-    on_m1_if_m2: frozenset[int]
-    dummy: bool
-
-
-@dataclass(frozen=True)
 class ReducedR2:
     """Component-merged jobs plus mandatory per-machine base loads.
 
     ``reduced_jobs[k]`` is the extra load the k-th component adds to the
     machine it is assigned to, beyond the bases ``p1_base[k]`` / ``p2_base[k]``
-    that accrue in every schedule. Dummies are (0, 0).
+    that accrue in every schedule. Dummies are (0, 0). Components are those of
+    ``BipGraph.component_sides``; ``on_m1[k]`` names the side (0 or 1) of the
+    k-th component that runs on machine 0 when its reduced job goes to machine
+    0, and the one when it goes to machine 1. Dominated components ("dummies")
+    have a single fixed orientation, so both entries coincide.
     """
 
     reduced_jobs: tuple[tuple[int, int], ...]
     p1_base: tuple[int, ...]
     p2_base: tuple[int, ...]
-    comp_map: tuple[ComponentChoice, ...]
+    on_m1: tuple[tuple[int, int], ...]
 
 
 def reduce_components(inst: Instance) -> ReducedR2:
     """Merge each conflict component into one binary placement decision."""
     _require_r2(inst)
-    g = inst.conflicts
     jobs = inst.jobs
-    reduced, p1b, p2b, cmap = [], [], [], []
-    for comp in g.components:
-        part1 = tuple(v for v in comp if g.side[v] == 0)
-        part2 = tuple(v for v in comp if g.side[v] == 1)
-        p11 = sum(jobs[v].p_row[0] for v in part1)
-        p12 = sum(jobs[v].p_row[0] for v in part2)
-        p21 = sum(jobs[v].p_row[1] for v in part1)
-        p22 = sum(jobs[v].p_row[1] for v in part2)
-        if p11 <= p12 and p22 <= p21:
+    reduced, p1b, p2b, on_m1 = [], [], [], []
+    for halves in inst.conflicts.component_sides:
+        # the machine loads (a_o, b_o) when side o runs on machine 0
+        (a0, b0), (a1, b1) = ((sum(jobs[v].p_row[0] for v in halves[o]),
+                               sum(jobs[v].p_row[1] for v in halves[1 - o]))
+                              for o in (0, 1))
+        p1b.append(min(a0, a1))
+        p2b.append(min(b0, b1))
+        if a0 <= a1 and b0 <= b1:
             reduced.append((0, 0))
-            p1b.append(p11)
-            p2b.append(p22)
-            fixed = frozenset(part1)
-            cmap.append(ComponentChoice(comp, fixed, fixed, True))
-        elif p12 <= p11 and p21 <= p22:
+            on_m1.append((0, 0))
+        elif a1 <= a0 and b1 <= b0:
             reduced.append((0, 0))
-            p1b.append(p12)
-            p2b.append(p21)
-            fixed = frozenset(part2)
-            cmap.append(ComponentChoice(comp, fixed, fixed, True))
+            on_m1.append((1, 1))
         else:
-            reduced.append((max(p11, p12) - min(p11, p12),
-                            max(p21, p22) - min(p21, p22)))
-            p1b.append(min(p11, p12))
-            p2b.append(min(p21, p22))
-            # outside the dominated cases p11 != p12 and the maxima are
-            # achieved by the same part on both machines
-            if p11 > p12:
-                cmap.append(ComponentChoice(comp, frozenset(part1), frozenset(part2), False))
-            else:
-                cmap.append(ComponentChoice(comp, frozenset(part2), frozenset(part1), False))
-    return ReducedR2(tuple(reduced), tuple(p1b), tuple(p2b), tuple(cmap))
+            reduced.append((abs(a0 - a1), abs(b0 - b1)))
+            # outside the dominated cases a0 != a1, and the orientation that
+            # costs more on machine 0 costs less on machine 1
+            on_m1.append((0, 1) if a0 > a1 else (1, 0))
+    return ReducedR2(tuple(reduced), tuple(p1b), tuple(p2b), tuple(on_m1))
 
 
-def _apply_decisions(red: ReducedR2, decisions: Sequence[int], n: int) -> Schedule:
+def _apply_decisions(red: ReducedR2, decisions: Sequence[int], g: BipGraph) -> Schedule:
     placement = {}
-    for choice, d in zip(red.comp_map, decisions):
-        on1 = choice.on_m1_if_m1 if d == 0 else choice.on_m1_if_m2
-        for v in choice.vertices:
-            placement[v] = 0 if v in on1 else 1
-    return Schedule.from_mapping(placement, n)
+    for halves, sides, d in zip(g.component_sides, red.on_m1, decisions):
+        for v in halves[sides[d]]:
+            placement[v] = 0
+        for v in halves[1 - sides[d]]:
+            placement[v] = 1
+    return Schedule.from_mapping(placement, g.n_vertices)
 
 
 @dataclass(frozen=True)
@@ -129,7 +107,7 @@ class TwoApproxStats:
 def two_approx_r2_with_stats(inst: Instance) -> tuple[Schedule, TwoApproxStats]:
     red = reduce_components(inst)
     decisions = [0 if d1 <= d2 else 1 for d1, d2 in red.reduced_jobs]
-    sched = _apply_decisions(red, decisions, inst.n)
+    sched = _apply_decisions(red, decisions, inst.conflicts)
     base1, base2 = sum(red.p1_base), sum(red.p2_base)
     extra1 = sum(d1 for (d1, d2), d in zip(red.reduced_jobs, decisions) if d == 0)
     extra2 = sum(d2 for (d1, d2), d in zip(red.reduced_jobs, decisions) if d == 1)
@@ -322,12 +300,7 @@ def fptas_r2_bipartite_with_stats(inst: Instance,
     _, stats2 = two_approx_r2_with_stats(inst)
     red = stats2.reduction
     t = stats2.makespan
-    core: list[tuple[int, int]] = []
-    core_of_comp: dict[int, int] = {}
-    for k, (d1, d2) in enumerate(red.reduced_jobs):
-        if not red.comp_map[k].dummy:
-            core_of_comp[k] = len(core)
-            core.append((d1, d2))
+    core = [job for job, (o0, o1) in zip(red.reduced_jobs, red.on_m1) if o0 != o1]
     # anchor jobs force the mandatory base loads onto their machines; the 2T
     # entry on the wrong machine exceeds the DP horizon so they are never
     # misplaced
@@ -336,9 +309,9 @@ def fptas_r2_bipartite_with_stats(inst: Instance,
     res = fptas_r2_core(core, eps)
     if res.assignment[-2] != 0 or res.assignment[-1] != 1:
         raise AssertionError("anchor job misplaced by the core DP")
-    decisions = [0 if red.comp_map[k].dummy else res.assignment[core_of_comp[k]]
-                 for k in range(len(red.comp_map))]
-    sched = _apply_decisions(red, decisions, inst.n)
+    picks = iter(res.assignment)
+    decisions = [next(picks) if o0 != o1 else 0 for o0, o1 in red.on_m1]
+    sched = _apply_decisions(red, decisions, inst.conflicts)
     return sched, FptasStats(len(core), res.state_count, res.delta, res.horizon)
 
 

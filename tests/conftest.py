@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import networkx as nx
+
 from bipsched import (BipGraph, CoreResult, Instance, Job, MachineEnv, MachineKind,
                       Schedule, SplitMix64, fptas_r2_bipartite)
 from bipsched import makespan as eval_makespan, validate
@@ -47,14 +49,18 @@ def best_first_class_weight(g: BipGraph) -> int:
 
 def reference_inequitable_two_coloring(g: BipGraph) -> tuple[frozenset[int], frozenset[int]]:
     """Per-component inequitable 2-coloring: heavier side to V1, ties to side 0."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n_vertices))
+    nxg.add_edges_from(g.edges)
     v1: list[int] = []
     v2: list[int] = []
-    for comp in g.components:
+    for comp in sorted(sorted(c) for c in nx.connected_components(nxg)):
         side0 = [v for v in comp if g.side[v] == 0]
         side1 = [v for v in comp if g.side[v] == 1]
         w0 = g.total_weight(side0)
         w1 = g.total_weight(side1)
-        # comp[0] is the BFS root, always on side 0, so ties favor side 0
+        # comp[0], the smallest vertex, is the BFS root and always on side 0,
+        # so ties favor side 0
         if w0 >= w1:
             v1 += side0
             v2 += side1

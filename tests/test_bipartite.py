@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +108,30 @@ def test_inequitable_matches_per_component_reference(g):
     got = inequitable_two_coloring(g)
     assert got == reference_inequitable_two_coloring(g)
     assert inequitable_two_coloring(g) is got
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=weighted_bipartite())
+def test_component_sides_are_the_connected_components(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n_vertices))
+    nxg.add_edges_from(g.edges)
+    expected = sorted(sorted(c) for c in nx.connected_components(nxg))
+    assert [sorted(h0 + h1) for h0, h1 in g.component_sides] == expected
+    seen = [v for h0, h1 in g.component_sides for v in h0 + h1]
+    assert sorted(seen) == list(range(g.n_vertices))
+    for h0, h1 in g.component_sides:
+        # the smallest vertex is the BFS root and comes first on side 0
+        assert h0[0] == min(h0 + h1)
+        assert all(g.side[v] == 0 for v in h0) and all(g.side[v] == 1 for v in h1)
+        assert g.is_independent(h0) and g.is_independent(h1)
+    assert g.adjacency == tuple(tuple(sorted(nxg[v])) for v in range(g.n_vertices))
+
+
+def test_adjacency_is_sorted():
+    g = BipGraph(6, [(5, 0), (3, 2), (0, 3), (4, 1), (2, 1), (0, 1)])
+    assert g.adjacency == ((1, 3, 5), (0, 2, 4), (1, 3), (0, 2), (1,), (0,))
+    assert g.component_sides == (((0, 2, 4), (1, 3, 5)),)
 
 
 def test_weights_must_be_integers():

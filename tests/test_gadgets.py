@@ -28,6 +28,16 @@ def test_gadget_size_validation():
         GadgetSpec(GadgetKind.H2, (1,))
 
 
+def test_gadget_numbers_are_strict():
+    for sizes in ((2.7,), (True,)):
+        with pytest.raises(ValueError):
+            GadgetSpec(GadgetKind.H1, sizes)
+    pre = PrecolorInstance(BipGraph(3), (0, 1, 2))
+    with pytest.raises(ValueError):
+        build_unrelated_hardness(pre, 5, 3, (0.9, 1.2, 2.5))
+    assert build_unrelated_hardness(pre, 5, 3, (0, 1, 2)).witness.assignment == (0, 1, 2)
+
+
 def test_h1_structure():
     g, stub = build_gadget(GadgetSpec(GadgetKind.H1, (2,)))
     assert g.n_vertices == 3 and stub == 2

@@ -22,14 +22,19 @@ def r2(rows, edges=()):
     return Instance(jobs, MachineEnv.unrelated(2), BipGraph(len(rows), edges))
 
 
+def on_m0(inst, red, k, d):
+    """Vertices of component k on machine 0 when its reduced job goes to machine d."""
+    return set(inst.conflicts.component_sides[k][red.on_m1[k][d]])
+
+
 def test_reduce_dominated_component():
     # part sums p11=2 p12=7 p21=5 p22=3: first branch, dummy with bases (2, 3)
     inst = r2([(2, 5), (7, 3)], [(0, 1)])
     red = reduce_components(inst)
     assert red.reduced_jobs == ((0, 0),)
     assert red.p1_base == (2,) and red.p2_base == (3,)
-    assert red.comp_map[0].dummy
-    assert red.comp_map[0].on_m1_if_m1 == {0}
+    assert red.on_m1[0][0] == red.on_m1[0][1]
+    assert on_m0(inst, red, 0, 0) == {0}
 
 
 def test_reduce_else_branch_component():
@@ -38,10 +43,10 @@ def test_reduce_else_branch_component():
     red = reduce_components(inst)
     assert red.reduced_jobs == ((5, 6),)
     assert red.p1_base == (2,) and red.p2_base == (3,)
-    assert not red.comp_map[0].dummy
+    assert red.on_m1[0][0] != red.on_m1[0][1]
     # assigning the reduced job to M1 puts the max-achieving part (job 1) there
-    assert red.comp_map[0].on_m1_if_m1 == {1}
-    assert red.comp_map[0].on_m1_if_m2 == {0}
+    assert on_m0(inst, red, 0, 0) == {1}
+    assert on_m0(inst, red, 0, 1) == {0}
 
 
 def test_reduce_singleton_component():
@@ -50,8 +55,8 @@ def test_reduce_singleton_component():
     red = reduce_components(inst)
     assert red.reduced_jobs == ((4, 1),)
     assert red.p1_base == (0,) and red.p2_base == (0,)
-    assert red.comp_map[0].on_m1_if_m1 == {0}
-    assert red.comp_map[0].on_m1_if_m2 == frozenset()
+    assert on_m0(inst, red, 0, 0) == {0}
+    assert on_m0(inst, red, 0, 1) == set()
 
 
 def test_reduction_preserves_makespans():
@@ -59,7 +64,7 @@ def test_reduction_preserves_makespans():
     for s in range(25):
         inst = r2_instance(substream_seed(41, s), s)
         red = reduce_components(inst)
-        c = len(red.comp_map)
+        c = len(red.on_m1)
         if c > 6:
             continue
         base1, base2 = sum(red.p1_base), sum(red.p2_base)
@@ -67,14 +72,13 @@ def test_reduction_preserves_makespans():
             placement = {}
             extra1 = extra2 = 0
             for k, d in enumerate(decisions):
-                choice = red.comp_map[k]
-                if choice.dummy:
+                if red.on_m1[k][0] == red.on_m1[k][1]:
                     d = 0
                 else:
                     extra1 += red.reduced_jobs[k][0] if d == 0 else 0
                     extra2 += red.reduced_jobs[k][1] if d == 1 else 0
-                on1 = choice.on_m1_if_m1 if d == 0 else choice.on_m1_if_m2
-                for v in choice.vertices:
+                on1 = on_m0(inst, red, k, d)
+                for v in itertools.chain(*inst.conflicts.component_sides[k]):
                     placement[v] = 0 if v in on1 else 1
             sched = Schedule.from_mapping(placement, inst.n)
             assert validate(sched, inst).valid
