@@ -138,7 +138,8 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", tuple(
-            strict_int(x, "machine index") for x in self.assignment))
+            x if type(x) is int else strict_int(x, "machine index")
+            for x in self.assignment))
 
     @staticmethod
     def from_mapping(placement: dict[int, int], n: int) -> "Schedule":

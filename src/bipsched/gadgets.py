@@ -5,13 +5,13 @@ color: any proper coloring either avoids that color on the attachment vertex
 or pushes many component vertices onto expensive color classes. Attached to
 the anchors of a precoloring-extension instance they turn color decisions
 into machine loads; verify_forcing checks the forcing disjunctions
-exhaustively at small sizes.
+exhaustively at small sizes, enumerating the proper colorings by
+backtracking.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,8 +129,11 @@ def verify_forcing(spec: GadgetSpec, num_colors: int) -> ForcingVerdict:
 
     Enumerates every proper num_colors-coloring of the component plus its
     attachment vertex (colors c1, c2, c3 are 0, 1, 2) and evaluates the
-    disjunction for the component kind. Counterexamples, if any, are returned
-    (at most 10).
+    disjunction for the component kind. The colorings are enumerated by
+    backtracking: vertex v tries colors ascending against its already colored
+    neighbours u < v, which yields exactly the proper colorings in
+    lexicographic order. Counterexamples, if any, are returned (the first 10
+    in that order).
     """
     min_colors = 2 if spec.kind is GadgetKind.H1 else 3
     if num_colors < min_colors:
@@ -139,15 +142,26 @@ def verify_forcing(spec: GadgetSpec, num_colors: int) -> ForcingVerdict:
     if num_colors ** nv > ENUMERATION_BUDGET:
         raise BudgetExceededError(f"{num_colors}^{nv} colorings exceed the budget")
     g, stub = build_gadget(spec)
+    lower = [[u for u in g.adjacency[v] if u < v] for v in range(nv)]
+    coloring = [0] * nv
     proper = 0
     bad = []
-    for coloring in itertools.product(range(num_colors), repeat=nv):
-        if any(coloring[a] == coloring[b] for a, b in g.edges):
-            continue
-        proper += 1
-        if not _forcing_ok(spec, coloring, stub):
-            if len(bad) < 10:
-                bad.append(coloring)
+
+    def extend(v: int) -> None:
+        nonlocal proper
+        if v == nv:
+            proper += 1
+            if not _forcing_ok(spec, coloring, stub):
+                if len(bad) < 10:
+                    bad.append(tuple(coloring))
+            return
+        taken = {coloring[u] for u in lower[v]}
+        for c in range(num_colors):
+            if c not in taken:
+                coloring[v] = c
+                extend(v + 1)
+
+    extend(0)
     return ForcingVerdict(not bad, tuple(bad), proper)
 
 

@@ -1,8 +1,15 @@
 """Exact reference solvers.
 
-Small-instance branch and bound for minimum makespan (used to certify every
-approximation ratio at desk scale) and a backtracking decider for precoloring
-extension with three anchored colors.
+Small-instance branch and bound for minimum makespan (the reference that
+certifies every approximation ratio at desk scale) and a backtracking decider
+for precoloring extension with three anchored colors.
+
+The branch and bound returns the lexicographically smallest optimal
+assignment. Two rules keep its search small without changing that answer:
+it never opens a machine while an earlier machine of the same speed (its
+twin) is still empty, and it stops at the first leaf that meets a lower
+bound, for uniform and identical machines the least integer scaled time
+whose rounded-down machine capacities hold the total load.
 """
 
 from __future__ import annotations
@@ -30,34 +37,45 @@ class OracleResult:
     makespan: Fraction
 
 
-def _contributions(inst: Instance) -> tuple[list[list[int]], int]:
-    """Per-job, per-machine integer cost contributions and the time scale A.
+def _contributions(inst: Instance) -> tuple[list[list[int]], list[int] | None]:
+    """Per-job, per-machine integer cost contributions and per-unit costs w.
 
-    For uniform speeds s_i = a_i/b_i the costs are scaled by A = lcm(a_i) so
-    that load/s_i becomes the integer load*b_i*(A/a_i); makespan compares stay
-    in plain ints during the search.
+    For uniform speeds s_i = a_i/b_i the costs are scaled by A = lcm(a_i), so
+    a unit of load on machine i costs the integer w_i = b_i*(A/a_i) = A/s_i
+    and makespan compares stay in plain ints during the search. Identical
+    machines have w_i = 1; unrelated machines have no per-unit cost (None).
     """
-    n, m = inst.n, inst.env.m
     if inst.env.kind is MachineKind.UNRELATED:
-        return [list(job.p_row) for job in inst.jobs], 1
+        return [list(job.p_row) for job in inst.jobs], None
     if inst.env.kind is MachineKind.IDENTICAL:
-        return [[job.p] * m for job in inst.jobs], 1
-    scale = math.lcm(*(s.numerator for s in inst.env.speeds))
-    w = [s.denominator * (scale // s.numerator) for s in inst.env.speeds]
-    return [[job.p * w[i] for i in range(m)] for job in inst.jobs], scale
+        w = [1] * inst.env.m
+    else:
+        scale = math.lcm(*(s.numerator for s in inst.env.speeds))
+        w = [s.denominator * (scale // s.numerator) for s in inst.env.speeds]
+    return [[job.p * wi for wi in w] for job in inst.jobs], w
 
 
-def _scaled_lower_bound(inst: Instance, contrib, scale: int) -> Fraction:
-    """A makespan lower bound in scaled-cost units (valid for any schedule)."""
-    m = inst.env.m
-    if inst.env.kind is MachineKind.UNRELATED:
+def _scaled_lower_bound(inst: Instance, contrib, w: list[int] | None) -> Fraction:
+    """A makespan lower bound in scaled-cost units (valid for any schedule).
+
+    With per-unit costs w, a scaled makespan T leaves machine i at most
+    floor(T / w_i) units of load, and every scaled makespan is an integer. So
+    the least integer T with sum_i floor(T / w_i) >= psum bounds it from below
+    (A times ``uniform.min_time_capacity_at_least(speeds, psum)``), as does
+    pmax * min(w) for the longest job on the fastest machine.
+    """
+    if w is None:
         mins = [min(row) for row in contrib]
-        return max(Fraction(max(mins)), Fraction(sum(mins), m))
-    speed_sum = sum(inst.env.speed_of(i) for i in range(m))
+        return max(Fraction(max(mins)), Fraction(sum(mins), inst.env.m))
     psum = sum(job.p for job in inst.jobs)
     pmax = max(job.p for job in inst.jobs)
-    s_fast = max(inst.env.speed_of(i) for i in range(m))
-    return scale * max(Fraction(psum) / speed_sum, Fraction(pmax) / s_fast)
+    # sum_i T/w_i >= sum_i floor(T/w_i), so T starts at the relaxed bound and
+    # steps up the breakpoints, the multiples of each w_i
+    lcm = math.lcm(*w)
+    t = -(-psum * lcm // sum(lcm // wi for wi in w))
+    while sum(t // wi for wi in w) < psum:
+        t = min((t // wi + 1) * wi for wi in w)
+    return Fraction(max(t, pmax * min(w)))
 
 
 def _greedy_seed(inst: Instance, contrib, adj_mask: Sequence[int]) -> int | None:
@@ -81,6 +99,10 @@ def _greedy_seed(inst: Instance, contrib, adj_mask: Sequence[int]) -> int | None
     return max(cost)
 
 
+class _Done(Exception):
+    """Raised inside the search once a leaf meets the lower bound."""
+
+
 def exact_min_makespan(inst: Instance,
                        budget: SearchBudget | None = None) -> OracleResult:
     """Provably optimal makespan by depth-first search with pruning.
@@ -89,6 +111,20 @@ def exact_min_makespan(inst: Instance,
     is replaced only on strict improvement, so the returned schedule is the
     lexicographically smallest optimal assignment. Aborts with
     BudgetExceededError rather than returning a non-optimal answer.
+
+    Equal-speed machines are interchangeable. Let twin[i] be the nearest
+    earlier machine with the speed of machine i (identical machines: i - 1).
+    The search skips machine i while both i and twin[i] are empty. The
+    lexicographically smallest optimum never does that: had it put job j on
+    such a machine i, swapping the labels i and twin[i] from job j onward
+    would give an optimum that is smaller at j. So the skip leaves the
+    result unchanged.
+
+    The search stops at the first leaf whose makespan meets the lower bound
+    of ``_scaled_lower_bound``; for uniform and identical machines that is
+    the least integer scaled time whose rounded-down capacities hold psum.
+    The first leaf that meets a valid bound is optimal and, by the search
+    order, the lexicographically smallest optimum.
     """
     budget = budget or SearchBudget()
     n, m = inst.n, inst.env.m
@@ -102,9 +138,14 @@ def exact_min_makespan(inst: Instance,
         adj_mask[a] |= 1 << b
         adj_mask[b] |= 1 << a
 
-    contrib, scale = _contributions(inst)
-    lb = _scaled_lower_bound(inst, contrib, scale)
-    symmetric = inst.env.kind is MachineKind.IDENTICAL
+    contrib, w = _contributions(inst)
+    lb = _scaled_lower_bound(inst, contrib, w)
+    twin = [-1] * m
+    if w is not None:
+        last: dict[int, int] = {}
+        for i, wi in enumerate(w):
+            twin[i] = last.get(wi, -1)
+            last[wi] = i
 
     best_val = _greedy_seed(inst, contrib, adj_mask)
     best_assign: list[int] | None = None
@@ -115,10 +156,7 @@ def exact_min_makespan(inst: Instance,
     t0 = time.monotonic()
     deadline_stride = 8192
 
-    class _Done(Exception):
-        pass
-
-    def rec(j: int, cur_max: int, used: int) -> None:
+    def rec(j: int, cur_max: int) -> None:
         nonlocal nodes, best_val, best_assign
         if j == n:
             if best_assign is None or cur_max < best_val:
@@ -127,9 +165,11 @@ def exact_min_makespan(inst: Instance,
                 if Fraction(best_val) <= lb:
                     raise _Done
             return
-        limit = min(m, used + 1) if symmetric else m
-        for i in range(limit):
+        for i in range(m):
             if adj_mask[j] & mask[i]:
+                continue
+            t = twin[i]
+            if t >= 0 and not mask[i] and not mask[t]:
                 continue
             nodes += 1
             if nodes > budget.max_nodes:
@@ -147,12 +187,12 @@ def exact_min_makespan(inst: Instance,
             cost[i] = c
             mask[i] |= 1 << j
             cur[j] = i
-            rec(j + 1, nm, used + 1 if (symmetric and i == used) else used)
+            rec(j + 1, nm)
             cost[i] -= contrib[j][i]
             mask[i] &= ~(1 << j)
 
     try:
-        rec(0, 0, 0)
+        rec(0, 0)
     except _Done:
         pass
     if best_assign is None:

@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from fractions import Fraction
 from typing import Sequence
 
 import networkx as nx
 
-from bipsched import (BipGraph, CoreResult, Instance, Job, MachineEnv, MachineKind,
-                      Schedule, SplitMix64, fptas_r2_bipartite)
-from bipsched import makespan as eval_makespan, validate
-from bipsched.errors import InfeasibleError
+from bipsched import (BipGraph, CoreResult, ForcingVerdict, GadgetSpec, Instance,
+                      Job, MachineEnv, MachineKind, OracleResult, Schedule,
+                      SearchBudget, SplitMix64, build_gadget, fptas_r2_bipartite)
+from bipsched import gadgets, makespan as eval_makespan, validate
+from bipsched.errors import BudgetExceededError, InfeasibleError
 
 
 def exhaustive_min_makespan(inst: Instance):
@@ -238,3 +240,142 @@ def reference_q2_exact_unit(inst: Instance) -> Schedule:
         raise InfeasibleError("no feasible job split found")
     _, _, rank_assignment = best
     return Schedule(tuple(ranks[x] for x in rank_assignment))
+
+
+# The oracle's branch and bound before equal-speed symmetry breaking and the
+# integer capacity bound, kept verbatim (machine interchange only for
+# IDENTICAL environments, through the count of machines opened so far) as the
+# reference the current oracle must match schedule for schedule.
+def _reference_contributions(inst: Instance) -> tuple[list[list[int]], int]:
+    n, m = inst.n, inst.env.m
+    if inst.env.kind is MachineKind.UNRELATED:
+        return [list(job.p_row) for job in inst.jobs], 1
+    if inst.env.kind is MachineKind.IDENTICAL:
+        return [[job.p] * m for job in inst.jobs], 1
+    scale = math.lcm(*(s.numerator for s in inst.env.speeds))
+    w = [s.denominator * (scale // s.numerator) for s in inst.env.speeds]
+    return [[job.p * w[i] for i in range(m)] for job in inst.jobs], scale
+
+
+def _reference_scaled_lower_bound(inst: Instance, contrib, scale: int) -> Fraction:
+    m = inst.env.m
+    if inst.env.kind is MachineKind.UNRELATED:
+        mins = [min(row) for row in contrib]
+        return max(Fraction(max(mins)), Fraction(sum(mins), m))
+    speed_sum = sum(inst.env.speed_of(i) for i in range(m))
+    psum = sum(job.p for job in inst.jobs)
+    pmax = max(job.p for job in inst.jobs)
+    s_fast = max(inst.env.speed_of(i) for i in range(m))
+    return scale * max(Fraction(psum) / speed_sum, Fraction(pmax) / s_fast)
+
+
+def _reference_greedy_seed(inst: Instance, contrib, adj_mask: Sequence[int]) -> int | None:
+    n, m = inst.n, inst.env.m
+    order = sorted(range(n), key=lambda j: (-min(contrib[j]), j))
+    cost = [0] * m
+    mask = [0] * m
+    for j in order:
+        best_i, best_c = -1, None
+        for i in range(m):
+            if adj_mask[j] & mask[i]:
+                continue
+            c = cost[i] + contrib[j][i]
+            if best_c is None or c < best_c:
+                best_i, best_c = i, c
+        if best_i < 0:
+            return None
+        cost[best_i] += contrib[j][best_i]
+        mask[best_i] |= 1 << j
+    return max(cost)
+
+
+def reference_exact_min_makespan(inst: Instance,
+                                 budget: SearchBudget | None = None) -> OracleResult:
+    """Lexicographically smallest optimal assignment by depth-first search."""
+    budget = budget or SearchBudget()
+    n, m = inst.n, inst.env.m
+    if n > budget.max_jobs:
+        raise BudgetExceededError(f"{n} jobs exceed max_jobs={budget.max_jobs}")
+    if m == 1 and inst.conflicts.edges:
+        raise InfeasibleError("a single machine cannot separate conflicting jobs")
+
+    adj_mask = [0] * n
+    for a, b in inst.conflicts.edges:
+        adj_mask[a] |= 1 << b
+        adj_mask[b] |= 1 << a
+
+    contrib, scale = _reference_contributions(inst)
+    lb = _reference_scaled_lower_bound(inst, contrib, scale)
+    symmetric = inst.env.kind is MachineKind.IDENTICAL
+
+    best_val = _reference_greedy_seed(inst, contrib, adj_mask)
+    best_assign: list[int] | None = None
+    cost = [0] * m
+    mask = [0] * m
+    cur = [0] * n
+    nodes = 0
+    t0 = time.monotonic()
+    deadline_stride = 8192
+
+    class _Done(Exception):
+        pass
+
+    def rec(j: int, cur_max: int, used: int) -> None:
+        nonlocal nodes, best_val, best_assign
+        if j == n:
+            if best_assign is None or cur_max < best_val:
+                best_val = cur_max
+                best_assign = cur[:]
+                if Fraction(best_val) <= lb:
+                    raise _Done
+            return
+        limit = min(m, used + 1) if symmetric else m
+        for i in range(limit):
+            if adj_mask[j] & mask[i]:
+                continue
+            nodes += 1
+            if nodes > budget.max_nodes:
+                raise BudgetExceededError(f"node budget {budget.max_nodes} exhausted")
+            if nodes % deadline_stride == 0 and time.monotonic() - t0 > budget.time_cap:
+                raise BudgetExceededError(f"time cap {budget.time_cap}s exhausted")
+            c = cost[i] + contrib[j][i]
+            nm = c if c > cur_max else cur_max
+            if best_val is not None:
+                if best_assign is None:
+                    if nm > best_val:
+                        continue
+                elif nm >= best_val:
+                    continue
+            cost[i] = c
+            mask[i] |= 1 << j
+            cur[j] = i
+            rec(j + 1, nm, used + 1 if (symmetric and i == used) else used)
+            cost[i] -= contrib[j][i]
+            mask[i] &= ~(1 << j)
+
+    try:
+        rec(0, 0, 0)
+    except _Done:
+        pass
+    if best_assign is None:
+        raise InfeasibleError("search found no feasible schedule")
+    sched = Schedule(tuple(best_assign))
+    return OracleResult(sched, eval_makespan(sched, inst))
+
+
+# The forcing check's original enumeration, kept as the reference for the
+# backtracking one: every num_colors^(n+1) coloring, filtered by an any()
+# over the edges.
+def reference_verify_forcing(spec: GadgetSpec, num_colors: int) -> ForcingVerdict:
+    nv = spec.vertex_count + 1
+    g, stub = build_gadget(spec)
+    proper = 0
+    bad = []
+    for coloring in itertools.product(range(num_colors), repeat=nv):
+        if any(coloring[a] == coloring[b] for a, b in g.edges):
+            continue
+        proper += 1
+        if not gadgets._forcing_ok(spec, coloring, stub):
+            if len(bad) < 10:
+                bad.append(coloring)
+    return ForcingVerdict(not bad, tuple(bad), proper)

@@ -145,3 +145,12 @@ def test_job_times_must_be_integers():
             Job(id=0, p=bad)
     job = Job(id=0, p=np.int64(4))
     assert job.p == 4 and type(job.p) is int
+
+
+def test_schedule_machine_indices_must_be_integers():
+    for bad in (1.0, 0.5, True, False, "1", Fraction(1)):
+        with pytest.raises(ValueError):
+            Schedule((0, bad))
+    sched = Schedule([np.int64(1), 0, np.int32(2)])
+    assert sched.assignment == (1, 0, 2)
+    assert all(type(x) is int for x in sched.assignment)

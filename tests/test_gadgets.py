@@ -8,7 +8,10 @@ from bipsched import (BipGraph, GadgetKind, GadgetSpec, PrecolorInstance,
                       build_unrelated_hardness, distinguishing_d,
                       exact_min_makespan, exact_precolor_extension,
                       machine_loads, makespan, validate, verify_forcing)
+from bipsched import gadgets
 from bipsched.errors import BudgetExceededError
+
+from conftest import reference_verify_forcing
 
 
 def test_vertex_count_identities():
@@ -89,6 +92,32 @@ def test_forcing_detects_violations():
     spec = GadgetSpec(GadgetKind.H1, (2,))
     assert not _forcing_ok(spec, (0, 0, 0), stub=2)
     assert _forcing_ok(spec, (1, 1, 0), stub=2)
+
+
+# every component the acceptance suite's forcing criterion enumerates, plus
+# two at four colors
+FORCING_SPECS = (
+    [(GadgetSpec(GadgetKind.H1, (x,)), c) for x in range(1, 5) for c in (2, 3)]
+    + [(GadgetSpec(GadgetKind.H2, (xp, x)), 3) for xp in range(1, 4) for x in range(1, 4)]
+    + [(GadgetSpec(GadgetKind.H3, (xpp, xp, x)), 3)
+       for xpp in range(1, 3) for xp in range(1, 3) for x in range(1, 3)]
+    + [(GadgetSpec(GadgetKind.H1, (3,)), 4), (GadgetSpec(GadgetKind.H2, (2, 2)), 4)]
+)
+
+
+def test_forcing_backtracking_matches_product_enumeration():
+    for spec, colors in FORCING_SPECS:
+        assert verify_forcing(spec, colors) == reference_verify_forcing(spec, colors)
+
+
+def test_forcing_counterexamples_in_product_order(monkeypatch):
+    # a predicate that fails often, so the first 10 counterexamples and their
+    # order show the enumeration order
+    monkeypatch.setattr(gadgets, "_forcing_ok", lambda spec, coloring, stub: sum(coloring) % 3)
+    for spec, colors in FORCING_SPECS[-4:]:
+        got = verify_forcing(spec, colors)
+        assert len(got.counterexamples) == 10
+        assert got == reference_verify_forcing(spec, colors)
 
 
 def test_solvers_handle_hardness_instances():

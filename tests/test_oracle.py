@@ -1,15 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bipsched import (BipGraph, Instance, Job, MachineEnv, PrecolorInstance,
-                      SearchBudget, SplitMix64, exact_min_makespan,
-                      exact_precolor_extension, makespan, unit_jobs, validate)
+from bipsched import (BipGraph, Instance, Job, MachineEnv, MachineKind,
+                      PrecolorInstance, SearchBudget, SplitMix64,
+                      exact_min_makespan, exact_precolor_extension, makespan,
+                      unit_jobs, validate)
 from bipsched.errors import BudgetExceededError, InfeasibleError
+from bipsched.oracle import _contributions, _scaled_lower_bound
 from bipsched.randgraph import substream_seed
 from bipsched.suites import sample_conflicts
+from bipsched.uniform import min_time_capacity_at_least
 
-from conftest import brute_precolor_extension_exists, exhaustive_min_makespan
+from conftest import (brute_precolor_extension_exists, exhaustive_min_makespan,
+                      reference_exact_min_makespan)
 
 
 def test_identical_examples():
@@ -52,6 +57,53 @@ def test_oracle_equals_exhaustive_scan():
         assert got.schedule == want_sched  # lexicographically smallest optimum
         assert validate(got.schedule, inst).valid
         assert makespan(got.schedule, inst) == got.makespan
+
+
+@st.composite
+def oracle_inputs(draw, kinds=tuple(MachineKind)):
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(2, 5))
+    side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    density = draw(st.sampled_from((0, 20, 50, 100)))
+    cross = [(a, b) for a in range(n) for b in range(a + 1, n) if side[a] != side[b]]
+    edges = [e for e in cross if draw(st.integers(0, 99)) < density] if density else []
+    kind = draw(st.sampled_from(kinds))
+    p = st.integers(1, 6)
+    if kind is MachineKind.UNRELATED:
+        jobs = tuple(Job(id=j, p_row=tuple(draw(p) for _ in range(m))) for j in range(n))
+        env = MachineEnv.unrelated(m)
+    else:
+        jobs = tuple(Job(id=j, p=draw(p)) for j in range(n))
+        if kind is MachineKind.IDENTICAL:
+            env = MachineEnv.identical(m)
+        else:
+            # few distinct speeds, so most machines have an equal-speed twin
+            speed = st.sampled_from((1, 2, 3, Fraction(3, 2)))
+            env = MachineEnv.uniform([draw(speed) for _ in range(m)])
+    return Instance(jobs, env, BipGraph(n, edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_inputs())
+def test_oracle_matches_unbroken_symmetry_reference(inst):
+    got = exact_min_makespan(inst)
+    want = reference_exact_min_makespan(inst)
+    assert got.schedule == want.schedule
+    assert got.makespan == want.makespan
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_inputs(kinds=(MachineKind.IDENTICAL, MachineKind.UNIFORM)))
+def test_scaled_bound_is_the_capacity_time_and_below_the_optimum(inst):
+    contrib, w = _contributions(inst)
+    lb = _scaled_lower_bound(inst, contrib, w)
+    speeds = [inst.env.speed_of(i) for i in range(inst.env.m)]
+    scale = w[0] * speeds[0]  # w_i = A / s_i for every machine i
+    psum = sum(job.p for job in inst.jobs)
+    pmax = max(job.p for job in inst.jobs)
+    assert lb == scale * max(min_time_capacity_at_least(speeds, psum),
+                             Fraction(pmax) / max(speeds))
+    assert lb <= scale * reference_exact_min_makespan(inst).makespan
 
 
 def test_budget_errors():
