@@ -114,6 +114,8 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def parse_instance(path: str) -> Instance:
@@ -175,14 +177,16 @@ def _mc_csv_lines(rows, summary) -> list[str]:
     return lines
 
 
-def _cmd_gen_gilbert(args) -> int:
+def _gilbert_params(args) -> GilbertParams:
     if (args.p is None) == (args.a is None):
         raise ValueError("exactly one of --p / --a required")
     if args.p is not None:
-        params = GilbertParams(args.n, parse_rational(args.p), args.seed)
-    else:
-        params = GilbertParams.from_a(args.n, parse_rational(args.a), args.seed)
-    g = gen_gilbert(params)
+        return GilbertParams(args.n, parse_rational(args.p), args.seed)
+    return GilbertParams.from_a(args.n, parse_rational(args.a), args.seed)
+
+
+def _cmd_gen_gilbert(args) -> int:
+    g = gen_gilbert(_gilbert_params(args))
     env = MachineEnv.uniform(_parse_speeds(args.speeds), allow_sub_unit=True)
     inst = Instance(unit_jobs(g.n_vertices), env, g)
     write_instance(inst, args.output)
@@ -233,23 +237,38 @@ def _cmd_gen_hardness_unrelated(args) -> int:
     return _emit_hardness(build, args)
 
 
+def _solve_alg2(inst: Instance, args) -> Schedule:
+    if any(job.p != 1 for job in inst.jobs):
+        raise ValueError("alg2 requires unit jobs")
+    return alg2_schedule(inst.conflicts, inst.env)
+
+
+def _is_exact(alg, opt, inst, eps) -> bool:
+    return alg == opt
+
+
+# --alg name -> (solve(inst, args), the seeded suite that `bench ratio-sweep
+# --suite` draws or None, guarantee(alg, opt, inst, eps) on the exact solver
+# and optimal makespans or None). Solvers are called by their names in this
+# module, so wrappers installed on those names see every call.
+SOLVERS = {
+    "sqrt-psum": (lambda inst, args: sqrt_psum_schedule(inst), uniform_instance,
+                  lambda alg, opt, inst, eps:
+                  (alg / opt) ** 2 <= sum(job.p for job in inst.jobs)),
+    "alg2": (_solve_alg2, None, None),
+    "r2-2apx": (lambda inst, args: two_approx_r2(inst), r2_instance,
+                lambda alg, opt, inst, eps: alg <= 2 * opt),
+    "r2-fptas": (lambda inst, args: fptas_r2_bipartite(inst, parse_rational(args.eps)),
+                 r2_instance, lambda alg, opt, inst, eps: alg <= (1 + eps) * opt),
+    "q2-exact-unit": (lambda inst, args: q2_exact_unit(inst), q2_unit_instance, _is_exact),
+    "oracle": (lambda inst, args: exact_min_makespan(
+        inst, SearchBudget(max_jobs=args.max_jobs)).schedule, None, _is_exact),
+}
+
+
 def _cmd_solve(args) -> int:
     inst = parse_instance(args.input)
-    if args.alg == "sqrt-psum":
-        sched = sqrt_psum_schedule(inst)
-    elif args.alg == "alg2":
-        if any(job.p != 1 for job in inst.jobs):
-            raise ValueError("alg2 requires unit jobs")
-        sched = alg2_schedule(inst.conflicts, inst.env)
-    elif args.alg == "r2-2apx":
-        sched = two_approx_r2(inst)
-    elif args.alg == "r2-fptas":
-        sched = fptas_r2_bipartite(inst, parse_rational(args.eps))
-    elif args.alg == "q2-exact-unit":
-        sched = q2_exact_unit(inst)
-    else:
-        budget = SearchBudget(max_jobs=args.max_jobs)
-        sched = exact_min_makespan(inst, budget).schedule
+    sched = SOLVERS[args.alg][0](inst, args)
     report = validate(sched, inst)
     if not report.valid:
         raise SchedulingError(f"solver produced conflicts: {report.violations}")
@@ -271,13 +290,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench_mc(args) -> int:
-    if (args.p is None) == (args.a is None):
-        raise ValueError("exactly one of --p / --a required")
-    p = parse_rational(args.p) if args.p is not None else \
-        parse_rational(args.a) / args.n
-    params = GilbertParams(args.n, p, args.seed)
     env = MachineEnv.uniform(_parse_speeds(args.speeds), allow_sub_unit=True)
-    rows, summary = mc_stats(params, env, args.trials)
+    rows, summary = mc_stats(_gilbert_params(args), env, args.trials)
     lines = _mc_csv_lines(rows, summary)
     if args.csv:
         Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -292,36 +306,19 @@ _SWEEP_HEADER = "case,n,m,alg_cmax_num,alg_cmax_den,opt_num,opt_den,ratio,bound_
 
 
 def _cmd_bench_ratio_sweep(args) -> int:
+    solve, suite, guarantee = SOLVERS[args.suite]
     eps = parse_rational(args.eps)
     lines = [_SWEEP_HEADER]
     ok = 0
     for case in range(args.count):
-        if args.suite == "q2-exact-unit":
-            inst = q2_unit_instance(args.seed, case)
-            sched = q2_exact_unit(inst)
-        elif args.suite == "sqrt-psum":
-            inst = uniform_instance(args.seed, case)
-            sched = sqrt_psum_schedule(inst)
-        elif args.suite == "r2-2apx":
-            inst = r2_instance(args.seed, case)
-            sched = two_approx_r2(inst)
-        else:
-            inst = r2_instance(args.seed, case)
-            sched = fptas_r2_bipartite(inst, eps)
+        inst = suite(args.seed, case)
+        sched = solve(inst, args)
         if not validate(sched, inst).valid:
             raise SchedulingError(f"case {case}: solver produced conflicts")
         alg = eval_makespan(sched, inst)
         opt = exact_min_makespan(inst).makespan
         ratio = alg / opt
-        if args.suite == "q2-exact-unit":
-            good = alg == opt
-        elif args.suite == "sqrt-psum":
-            psum = sum(j.p for j in inst.jobs)
-            good = ratio * ratio <= psum
-        elif args.suite == "r2-2apx":
-            good = ratio <= 2
-        else:
-            good = ratio <= 1 + eps
+        good = guarantee(alg, opt, inst, eps)
         ok += good
         lines.append(",".join(map(str, (
             case, inst.n, inst.env.m, alg.numerator, alg.denominator,
@@ -379,9 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     hr.set_defaults(func=_cmd_gen_hardness_unrelated)
 
     sv = sub.add_parser("solve", help="run a solver on an instance file")
-    sv.add_argument("--alg", required=True,
-                    choices=["sqrt-psum", "alg2", "r2-2apx", "r2-fptas",
-                             "q2-exact-unit", "oracle"])
+    sv.add_argument("--alg", required=True, choices=list(SOLVERS))
     sv.add_argument("--eps", default="1/10", help="rational epsilon for r2-fptas")
     sv.add_argument("--max-jobs", type=int, default=14, help="oracle job cap")
     sv.add_argument("-i", "--input", required=True)
@@ -408,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rs = bsub.add_parser("ratio-sweep", help="solver vs oracle on a random suite")
     rs.add_argument("--suite", required=True,
-                    choices=["q2-exact-unit", "sqrt-psum", "r2-2apx", "r2-fptas"])
+                    choices=[name for name, (_, suite, _) in SOLVERS.items() if suite])
     rs.add_argument("--count", type=int, required=True)
     rs.add_argument("--seed", type=int, required=True)
     rs.add_argument("--eps", default="1/10")

@@ -107,21 +107,15 @@ class ForcingVerdict:
 
 
 def _forcing_ok(spec: GadgetSpec, coloring, stub: int) -> bool:
-    gadget = range(spec.vertex_count)
-    if spec.kind is GadgetKind.H1:
-        (x,) = spec.sizes
-        return (coloring[stub] != 0
-                or sum(1 for v in gadget if coloring[v] != 0) >= x)
-    if spec.kind is GadgetKind.H2:
-        xp, x = spec.sizes
-        return (coloring[stub] != 1
-                or sum(1 for v in gadget if coloring[v] >= 2) >= xp
-                or sum(1 for v in gadget if coloring[v] != 0) >= x)
-    xpp, xp, x = spec.sizes
-    return (coloring[stub] != 2
-            or sum(1 for v in gadget if coloring[v] >= 3) >= xpp
-            or sum(1 for v in gadget if coloring[v] >= 2) >= xp
-            or sum(1 for v in gadget if coloring[v] != 0) >= x)
+    """The disjunction of a kind of arity k with sizes (s_0, ..., s_{k-1}).
+
+    The stub avoids color k-1, or for some t at least s_t component
+    vertices take colors >= k-t.
+    """
+    k = len(spec.sizes)
+    gadget = coloring[:stub]
+    return coloring[stub] != k - 1 or any(
+        sum(1 for c in gadget if c >= k - t) >= size for t, size in enumerate(spec.sizes))
 
 
 def verify_forcing(spec: GadgetSpec, num_colors: int) -> ForcingVerdict:

@@ -18,7 +18,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .core import Instance, MachineKind, Schedule, makespan as eval_makespan
 from .errors import BudgetExceededError, InfeasibleError
@@ -78,27 +77,6 @@ def _scaled_lower_bound(inst: Instance, contrib, w: list[int] | None) -> Fractio
     return Fraction(max(t, pmax * min(w)))
 
 
-def _greedy_seed(inst: Instance, contrib, adj_mask: Sequence[int]) -> int | None:
-    """Scaled makespan of a cheap feasible schedule, or None if it gets stuck."""
-    n, m = inst.n, inst.env.m
-    order = sorted(range(n), key=lambda j: (-min(contrib[j]), j))
-    cost = [0] * m
-    mask = [0] * m
-    for j in order:
-        best_i, best_c = -1, None
-        for i in range(m):
-            if adj_mask[j] & mask[i]:
-                continue
-            c = cost[i] + contrib[j][i]
-            if best_c is None or c < best_c:
-                best_i, best_c = i, c
-        if best_i < 0:
-            return None
-        cost[best_i] += contrib[j][best_i]
-        mask[best_i] |= 1 << j
-    return max(cost)
-
-
 class _Done(Exception):
     """Raised inside the search once a leaf meets the lower bound."""
 
@@ -147,7 +125,7 @@ def exact_min_makespan(inst: Instance,
             twin[i] = last.get(wi, -1)
             last[wi] = i
 
-    best_val = _greedy_seed(inst, contrib, adj_mask)
+    best_val = 0
     best_assign: list[int] | None = None
     cost = [0] * m
     mask = [0] * m
@@ -159,11 +137,11 @@ def exact_min_makespan(inst: Instance,
     def rec(j: int, cur_max: int) -> None:
         nonlocal nodes, best_val, best_assign
         if j == n:
-            if best_assign is None or cur_max < best_val:
-                best_val = cur_max
-                best_assign = cur[:]
-                if Fraction(best_val) <= lb:
-                    raise _Done
+            # every leaf the pruning below lets through improves the incumbent
+            best_val = cur_max
+            best_assign = cur[:]
+            if best_val <= lb:
+                raise _Done
             return
         for i in range(m):
             if adj_mask[j] & mask[i]:
@@ -178,12 +156,8 @@ def exact_min_makespan(inst: Instance,
                 raise BudgetExceededError(f"time cap {budget.time_cap}s exhausted")
             c = cost[i] + contrib[j][i]
             nm = c if c > cur_max else cur_max
-            if best_val is not None:
-                if best_assign is None:
-                    if nm > best_val:
-                        continue
-                elif nm >= best_val:
-                    continue
+            if best_assign is not None and nm >= best_val:
+                continue
             cost[i] = c
             mask[i] |= 1 << j
             cur[j] = i

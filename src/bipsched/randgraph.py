@@ -74,6 +74,8 @@ class GilbertParams:
     @staticmethod
     def from_a(n: int, a: Fraction, seed: int) -> "GilbertParams":
         """Edge probability p = a/n."""
+        if n < 1:
+            raise ValueError("part size must be >= 1")
         return GilbertParams(n, Fraction(a) / n, seed)
 
 

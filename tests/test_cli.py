@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bipsched import BipGraph, Instance, Job, MachineEnv, unit_jobs
-from bipsched.cli import (canonical_dumps, fmt_rational, parse_instance,
+from bipsched import (BipGraph, Instance, Job, MachineEnv, exact_min_makespan,
+                      fptas_r2_bipartite, makespan, q2_exact_unit, sqrt_psum_schedule,
+                      two_approx_r2, unit_jobs)
+from bipsched.cli import (SOLVERS, canonical_dumps, fmt_rational, parse_instance,
                           parse_rational, parse_schedule, run, write_instance)
+from bipsched.suites import q2_unit_instance, r2_instance, uniform_instance
 
 MINIMAL = '{"edges":[],"jobs":[{"id":0,"p":1}],"machines":{"kind":"identical","m":1}}\n'
 
@@ -201,13 +204,61 @@ def test_bench_mc_csv_golden(tmp_path):
     assert csv.read_bytes() == again.read_bytes()
 
 
+# suite -> (sampler, solver at eps = 1/2, guarantee(ratio, inst, eps)), written
+# out here independently of the solver table in bipsched.cli
+SWEEPS = {
+    "q2-exact-unit": (q2_unit_instance, q2_exact_unit, lambda ratio, inst, eps: ratio == 1),
+    "sqrt-psum": (uniform_instance, sqrt_psum_schedule,
+                  lambda ratio, inst, eps: ratio * ratio <= sum(job.p for job in inst.jobs)),
+    "r2-2apx": (r2_instance, two_approx_r2, lambda ratio, inst, eps: ratio <= 2),
+    "r2-fptas": (r2_instance, lambda inst: fptas_r2_bipartite(inst, Fraction(1, 2)),
+                 lambda ratio, inst, eps: ratio <= 1 + eps),
+}
+
+
 def test_bench_ratio_sweep(tmp_path):
-    csv = tmp_path / "sweep.csv"
-    assert run(["bench", "ratio-sweep", "--suite", "r2-fptas", "--count", "6",
-                "--seed", "2002", "--eps", "1/2", "--csv", str(csv)]) == 0
-    lines = csv.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("case,n,m,")
-    assert lines[-1] == "# within_bound 6/6"
+    count, seed, eps = 6, 2002, Fraction(1, 2)
+    assert sorted(name for name, (_, suite, _) in SOLVERS.items() if suite) == sorted(SWEEPS)
+    for suite, (sample, solve, bound) in SWEEPS.items():
+        csv = tmp_path / f"{suite}.csv"
+        assert run(["bench", "ratio-sweep", "--suite", suite, "--count", str(count),
+                    "--seed", str(seed), "--eps", "1/2", "--csv", str(csv)]) == 0
+        want = ["case,n,m,alg_cmax_num,alg_cmax_den,opt_num,opt_den,ratio,bound_ok"]
+        for case in range(count):
+            inst = sample(seed, case)
+            alg = makespan(solve(inst), inst)
+            opt = exact_min_makespan(inst).makespan
+            ratio = alg / opt
+            want.append(f"{case},{inst.n},{inst.env.m},{alg.numerator},{alg.denominator},"
+                        f"{opt.numerator},{opt.denominator},{float(ratio):.6f},"
+                        f"{int(bound(ratio, inst, eps))}")
+        want.append(f"# within_bound {count}/{count}")
+        assert csv.read_text(encoding="utf-8").splitlines() == want, suite
+        # the table's guarantee agrees with the formula above on both sides of
+        # every bound: ratios 1..8 cover sqrt(psum) <= sqrt(40) in these suites
+        guarantee = SOLVERS[suite][2]
+        inst, opt = sample(seed, 0), Fraction(7, 3)
+        for eighths in range(8, 65):
+            alg = opt * Fraction(eighths, 8)
+            assert guarantee(alg, opt, inst, eps) == bound(alg / opt, inst, eps), (suite, alg)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "gilbert", "--n", "0", "--a", "1", "--seed", "1", "-o", "g.json"],
+    ["bench", "mc", "--n", "0", "--a", "1", "--trials", "1", "--seed", "1"],
+])
+def test_zero_part_size_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: part size")
+
+
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    deep = write(tmp_path / "deep.json", "[" * 100_000 + "]" * 100_000)
+    inst = write(tmp_path / "i.json", json.dumps(STRICT_DOCS["uniform"]))
+    assert run(["solve", "--alg", "oracle", "-i", deep, "-o", str(tmp_path / "s.json")]) == 1
+    assert run(["verify", "-i", inst, "-s", deep]) == 1
+    assert capsys.readouterr().err.count("nested too deeply") == 2
 
 
 def test_gen_gadget_and_hardness(tmp_path):
