@@ -71,8 +71,10 @@ class BipGraph:
 
     Weights must be integers; bools and floats raise ValueError. Edges are
     canonicalized (sorted, deduplicated, (lo, hi) order); self-loops
-    are rejected. A proper 2-coloring is computed at construction time, so any
-    existing BipGraph is certified bipartite: non-bipartite edge sets raise
+    are rejected. Input whose (lo, hi) pairs already come strictly increasing,
+    as from the Gilbert sampler and ``induced``, skips the set and the sort.
+    A proper 2-coloring is computed at construction time, so any existing
+    BipGraph is certified bipartite: non-bipartite edge sets raise
     NotBipartiteError from the constructor. ``side[v]`` is the color of v;
     ``component_sides`` lists the components by smallest vertex, each as its
     (side-0, side-1) vertex tuples.
@@ -83,15 +85,17 @@ class BipGraph:
                  weights: Sequence[int] | None = None):
         if n_vertices < 0:
             raise ValueError("vertex count must be non-negative")
-        canon = set()
+        canon = []
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (0 <= a < n_vertices and 0 <= b < n_vertices):
                 raise ValueError(f"edge ({a}, {b}) out of range for {n_vertices} vertices")
-            canon.add((a, b) if a < b else (b, a))
+            canon.append((a, b) if a < b else (b, a))
+        if not all(map(tuple.__lt__, canon, canon[1:])):
+            canon = sorted(set(canon))
         self.n_vertices = n_vertices
-        self.edges = tuple(sorted(canon))
+        self.edges = tuple(canon)
         if weights is None:
             self.weights = (1,) * n_vertices
         else:
@@ -164,12 +168,22 @@ _INF = -1
 def max_matching(g: BipGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Maximum-cardinality matching via Hopcroft-Karp layered phases.
 
-    Returns (size, matched edge list); the edge list is a deterministic
-    function of the canonical edge order.
+    A greedy pass first matches each side-0 vertex, in id order, to its
+    first free neighbor; the phases then augment from that matching. Returns
+    (size, matched edge list); the edge list is a deterministic function of
+    the canonical edge order.
     """
     left = [v for v in range(g.n_vertices) if g.side[v] == 0]
     pair = [-1] * g.n_vertices
     dist = {}
+    size = 0
+    for u in left:
+        for v in g.adjacency[u]:
+            if pair[v] == -1:
+                pair[u] = v
+                pair[v] = u
+                size += 1
+                break
 
     def bfs() -> bool:
         queue = deque()
@@ -223,7 +237,6 @@ def max_matching(g: BipGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
                     stack[-1][1] += 1
         return False
 
-    size = 0
     while bfs():
         for u in left:
             if pair[u] == -1 and dfs(u):

@@ -118,12 +118,19 @@ def _load_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def parse_instance(path: str) -> Instance:
     return obj_to_instance(_load_json(path))
 
 
 def write_instance(inst: Instance, path: str) -> None:
-    Path(path).write_text(canonical_dumps(instance_to_obj(inst)), encoding="utf-8")
+    _write_text(path, canonical_dumps(instance_to_obj(inst)))
 
 
 def schedule_to_obj(sched: Schedule, inst: Instance) -> dict:
@@ -145,8 +152,7 @@ def parse_schedule(path: str, inst: Instance) -> Schedule:
 
 
 def write_schedule(sched: Schedule, inst: Instance, path: str) -> None:
-    Path(path).write_text(canonical_dumps(schedule_to_obj(sched, inst)),
-                          encoding="utf-8")
+    _write_text(path, canonical_dumps(schedule_to_obj(sched, inst)))
 
 
 def _parse_speeds(text: str) -> list[Fraction]:
@@ -294,7 +300,7 @@ def _cmd_bench_mc(args) -> int:
     rows, summary = mc_stats(_gilbert_params(args), env, args.trials)
     lines = _mc_csv_lines(rows, summary)
     if args.csv:
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(args.csv, "\n".join(lines) + "\n")
         print(f"wrote {args.csv}: {len(rows)} trials")
     for stat in ("mean", "stddev", "max"):
         cells = " ".join(f"{col}={summary[stat][col]:.6f}" for col in summary[stat])
@@ -306,6 +312,8 @@ _SWEEP_HEADER = "case,n,m,alg_cmax_num,alg_cmax_den,opt_num,opt_den,ratio,bound_
 
 
 def _cmd_bench_ratio_sweep(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     solve, suite, guarantee = SOLVERS[args.suite]
     eps = parse_rational(args.eps)
     lines = [_SWEEP_HEADER]
@@ -325,7 +333,7 @@ def _cmd_bench_ratio_sweep(args) -> int:
             opt.numerator, opt.denominator, f"{float(ratio):.6f}", int(good)))))
     lines.append(f"# within_bound {ok}/{args.count}")
     if args.csv:
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(args.csv, "\n".join(lines) + "\n")
         print(f"wrote {args.csv}")
     print(f"within bound: {ok}/{args.count}")
     return 0 if ok == args.count else 1

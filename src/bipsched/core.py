@@ -9,6 +9,7 @@ sum per machine determines the makespan.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -143,7 +144,7 @@ class Schedule:
 
     @staticmethod
     def from_mapping(placement: dict[int, int], n: int) -> "Schedule":
-        if sorted(placement) != list(range(n)):
+        if len(placement) != n or not all(map(placement.__contains__, range(n))):
             raise MalformedScheduleError("placement must cover all job ids")
         return Schedule(tuple(placement[j] for j in range(n)))
 
@@ -200,5 +201,6 @@ def totals(inst: Instance) -> tuple[int, int]:
     return sum(ps), max(ps)
 
 
+@functools.lru_cache(maxsize=8)  # the jobs are frozen, so callers can share them
 def unit_jobs(n: int) -> tuple[Job, ...]:
     return tuple(Job(id=j, p=1) for j in range(n))

@@ -93,6 +93,12 @@ def _edges(n: int, threshold: int, seed: int) -> list[tuple[int, int]]:
 
     Reproduces the SplitMix64(seed) stream over the n*n pairs block by block,
     so memory stays O(_BLOCK + edges) for any n. Needs 0 < threshold < 2^64.
+
+    The last mixing step z ^ (z >> 31) leaves bits 63..33 of z unchanged, so
+    a draw below threshold needs z <= bound, the largest value whose bits
+    63..33 are those of threshold - 1. Only the pairs passing that test
+    finish the step and meet the exact comparison; the bound is inclusive so
+    it never overflows 64 bits.
     """
     total = n * n
     block = min(_BLOCK, total)
@@ -102,14 +108,15 @@ def _edges(n: int, threshold: int, seed: int) -> list[tuple[int, int]]:
     np.multiply(steps, np.uint64(GOLDEN), out=steps)
     z = np.empty(block, dtype=np.uint64)
     tmp = np.empty(block, dtype=np.uint64)
-    below = np.empty(block, dtype=bool)
+    maybe = np.empty(block, dtype=bool)
     thr = np.uint64(threshold)
+    bound = np.uint64((((threshold - 1) >> 33) << 33) | ((1 << 33) - 1))
     s30, s27, s31 = np.uint64(30), np.uint64(27), np.uint64(31)
     m1, m2 = np.uint64(_MIX1), np.uint64(_MIX2)
     hits = []
     for start in range(0, total, block):
         size = min(block, total - start)
-        zb, tb, bb = z[:size], tmp[:size], below[:size]
+        zb, tb, mb = z[:size], tmp[:size], maybe[:size]
         np.add(steps[:size], np.uint64((seed + start * GOLDEN) & MASK64), out=zb)
         np.right_shift(zb, s30, out=tb)
         np.bitwise_xor(zb, tb, out=zb)
@@ -117,10 +124,10 @@ def _edges(n: int, threshold: int, seed: int) -> list[tuple[int, int]]:
         np.right_shift(zb, s27, out=tb)
         np.bitwise_xor(zb, tb, out=zb)
         np.multiply(zb, m2, out=zb)
-        np.right_shift(zb, s31, out=tb)
-        np.bitwise_xor(zb, tb, out=zb)
-        np.less(zb, thr, out=bb)
-        hits.append(np.flatnonzero(bb) + start)
+        np.less_equal(zb, bound, out=mb)
+        cand = np.flatnonzero(mb)
+        zc = zb[cand]
+        hits.append(cand[(zc ^ (zc >> s31)) < thr] + start)
     idx = np.concatenate(hits)
     return list(zip((idx // n).tolist(), (idx % n + n).tolist()))
 

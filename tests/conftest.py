@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -81,6 +82,83 @@ def reference_edges_scalar(n: int, threshold: int, seed: int) -> list[tuple[int,
             if rng.next_u64() < threshold:
                 edges.append((i, n + j))
     return edges
+
+
+# Hopcroft-Karp as it stood before the greedy start, kept verbatim as the
+# reference whose matching size the current one must equal.
+_INF = -1
+
+
+def reference_max_matching(g: BipGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Maximum-cardinality matching via Hopcroft-Karp layered phases.
+
+    Returns (size, matched edge list); the edge list is a deterministic
+    function of the canonical edge order.
+    """
+    left = [v for v in range(g.n_vertices) if g.side[v] == 0]
+    pair = [-1] * g.n_vertices
+    dist = {}
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in left:
+            if pair[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = _INF
+        reachable_free = False
+        while queue:
+            u = queue.popleft()
+            for v in g.adjacency[u]:
+                w = pair[v]
+                if w == -1:
+                    reachable_free = True
+                elif dist[w] == _INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return reachable_free
+
+    def dfs(u: int) -> bool:
+        # iterative alternating-path search; augmenting paths can be long, so
+        # recursion is avoided. Frames hold [left vertex, adjacency index].
+        stack = [[u, 0]]
+        while stack:
+            frame = stack[-1]
+            x, idx = frame
+            adj = g.adjacency[x]
+            pushed = False
+            while idx < len(adj):
+                v = adj[idx]
+                w = pair[v]
+                if w == -1:
+                    frame[1] = idx
+                    for fx, fi in stack:
+                        fv = g.adjacency[fx][fi]
+                        pair[fx] = fv
+                        pair[fv] = fx
+                    return True
+                if dist[w] == dist[x] + 1:
+                    frame[1] = idx
+                    stack.append([w, 0])
+                    pushed = True
+                    break
+                idx += 1
+            if not pushed:
+                dist[x] = _INF
+                stack.pop()
+                if stack:
+                    stack[-1][1] += 1
+        return False
+
+    size = 0
+    while bfs():
+        for u in left:
+            if pair[u] == -1 and dfs(u):
+                size += 1
+    edges = tuple(sorted((u, pair[u]) if u < pair[u] else (pair[u], u)
+                         for u in left if pair[u] != -1))
+    return size, edges
 
 
 def all_independent_sets(g: BipGraph):

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bipsched import (BipGraph, SplitMix64, independent_set_containing,
-                      inequitable_two_coloring, max_matching,
-                      max_weight_independent_set)
+from bipsched import (BipGraph, GilbertParams, SplitMix64, gen_gilbert,
+                      independent_set_containing, inequitable_two_coloring,
+                      max_matching, max_weight_independent_set)
 from bipsched.errors import NotBipartiteError
 from bipsched.randgraph import draw_threshold, substream_seed
 
 from conftest import (best_first_class_weight, brute_max_weight_is,
-                      brute_max_weight_is_containing, reference_inequitable_two_coloring)
+                      brute_max_weight_is_containing, reference_inequitable_two_coloring,
+                      reference_max_matching)
 
 
 def random_bipartite(seed, max_n=12, weighted=False):
@@ -128,6 +129,24 @@ def test_component_sides_are_the_connected_components(g):
     assert g.adjacency == tuple(tuple(sorted(nxg[v])) for v in range(g.n_vertices))
 
 
+@settings(max_examples=200, deadline=None)
+@given(g=weighted_bipartite(), data=st.data())
+def test_edge_input_order_does_not_matter(g, data):
+    # strictly increasing (lo, hi) input skips the set and the sort; every
+    # other input must canonicalize to the same graph through them
+    edges = list(g.edges)
+    shuffled = data.draw(st.permutations(edges))
+    inputs = (edges, shuffled, [(b, a) for a, b in edges],
+              [(b, a) for a, b in shuffled], [e for e in edges for _ in range(2)],
+              edges + shuffled)
+    for given_edges in inputs:
+        h = BipGraph(g.n_vertices, given_edges, g.weights)
+        assert h.edges == g.edges
+        assert h.adjacency == g.adjacency
+        assert h.side == g.side
+        assert h.component_sides == g.component_sides
+
+
 def test_adjacency_is_sorted():
     g = BipGraph(6, [(5, 0), (3, 2), (0, 3), (4, 1), (2, 1), (0, 1)])
     assert g.adjacency == ((1, 3, 5), (0, 2, 4), (1, 3), (0, 2), (1,), (0,))
@@ -159,6 +178,17 @@ def test_matching_edges_form_matching():
         used = [v for e in edges for v in e]
         assert len(used) == len(set(used))
         assert all(e in g.edges for e in edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(4, 80), a=st.sampled_from([Fraction(1, 4), Fraction(1), Fraction(4)]),
+       seed=st.integers(0, (1 << 64) - 1))
+def test_matching_size_matches_reference_on_gilbert_graphs(n, a, seed):
+    g = gen_gilbert(GilbertParams.from_a(n, a, seed))
+    size, edges = max_matching(g)
+    assert size == reference_max_matching(g)[0]
+    assert len(edges) == size and all(e in g.edges for e in edges)
+    assert len({v for e in edges for v in e}) == 2 * size
 
 
 def test_mwis_examples():

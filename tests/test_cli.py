@@ -261,6 +261,31 @@ def test_deeply_nested_json_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.count("nested too deeply") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alg", "oracle", "-i", "i.json", "-o"],
+    ["gen", "gilbert", "--n", "3", "--a", "1", "--seed", "1", "-o"],
+    ["bench", "mc", "--n", "3", "--a", "1", "--trials", "1", "--seed", "1", "--csv"],
+    ["bench", "ratio-sweep", "--suite", "r2-2apx", "--count", "1", "--seed", "1", "--csv"],
+])
+@pytest.mark.parametrize("target", ["missing/x.out", "."])
+def test_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, argv, target):
+    # a missing directory and a directory as the file: both OSErrors
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "i.json").write_text(MINIMAL, encoding="utf-8")
+    assert run(argv + [target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_ratio_sweep_needs_a_positive_count(capsys, count):
+    assert run(["bench", "ratio-sweep", "--suite", "r2-2apx", "--count", count,
+                "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --count must be at least 1\n"
+    assert "within bound" not in captured.out
+
+
 def test_gen_gadget_and_hardness(tmp_path):
     gpath = tmp_path / "g.json"
     assert run(["gen", "gadget", "--kind", "h2", "--sizes", "1,2",

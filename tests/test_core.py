@@ -154,3 +154,19 @@ def test_schedule_machine_indices_must_be_integers():
     sched = Schedule([np.int64(1), 0, np.int32(2)])
     assert sched.assignment == (1, 0, 2)
     assert all(type(x) is int for x in sched.assignment)
+
+
+def test_unit_jobs_are_built_once_per_size():
+    assert unit_jobs(7) is unit_jobs(7)
+    assert unit_jobs(7) == tuple(Job(id=j, p=1) for j in range(7))
+
+
+def test_from_mapping_needs_exactly_the_job_ids():
+    assert Schedule.from_mapping({2: 1, 0: 0, 1: 1}, 3).assignment == (0, 1, 1)
+    assert Schedule.from_mapping({}, 0).assignment == ()
+    for placement in ({0: 0, 1: 1},              # missing
+                      {0: 0, 1: 1, 2: 0, 3: 1},  # extra
+                      {0: 0, 1: 1, 3: 0},        # out of range in place of 2
+                      {-1: 0, 0: 0, 1: 1}):      # negative in place of 2
+        with pytest.raises(MalformedScheduleError):
+            Schedule.from_mapping(placement, 3)

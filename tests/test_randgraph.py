@@ -74,6 +74,28 @@ def test_blocked_sampler_matches_scalar_reference(n, p_kind, seed):
     assert _edges(n, thr, seed) == reference_edges_scalar(n, thr, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, (1 << 64) - 1),
+       k=st.integers(1, (1 << 31) - 1), t=st.integers(0, 1599))
+def test_sampler_prefilter_is_exact_at_2_to_33_boundaries(n, seed, k, t):
+    # the prefilter keeps a pair when bits 63..33 of its draw are at most
+    # those of threshold - 1, so thresholds on and next to multiples of 2^33
+    # are where it could err; thresholds built from one of the stream's own
+    # draws d put a draw in the boundary block, and the top ones would
+    # overflow 64 bits with an exclusive bound
+    rng = SplitMix64(seed)
+    for _ in range(t % (n * n)):
+        rng.next_u64()
+    d = rng.next_u64()
+    top = ((1 << 31) - 1) << 33
+    thresholds = [(k << 33) - 1, k << 33, (k << 33) + 1, d, d + 1]
+    thresholds += [(d >> 33 << 33) + j for j in (-1, 0, 1, 1 << 32)]
+    thresholds += [top + j for j in (1, 1 << 32, (1 << 33) - 1)]
+    for thr in thresholds:
+        if 0 < thr < 1 << 64:
+            assert _edges(n, thr, seed) == reference_edges_scalar(n, thr, seed), thr
+
+
 def test_gilbert_probability_next_to_one():
     # the threshold rounds up to 2^64 here, so every draw lies below it
     p = 1 - Fraction(1, 1 << 70)
