@@ -99,8 +99,7 @@ class BipGraph:
         if weights is None:
             self.weights = (1,) * n_vertices
         else:
-            ws = tuple(w if type(w) is int else strict_int(w, "vertex weight")
-                       for w in weights)
+            ws = tuple(strict_int(w, "vertex weight") for w in weights)
             if len(ws) != n_vertices:
                 raise ValueError("one weight per vertex required")
             if any(w <= 0 for w in ws):
@@ -171,9 +170,9 @@ def max_matching(g: BipGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     A greedy pass first matches each side-0 vertex, in id order, to its
     first free neighbor; the phases then augment from that matching. Returns
     (size, matched edge list); the edge list is a deterministic function of
-    the canonical edge order.
+    the canonical edge order. Isolated vertices are left out of the search.
     """
-    left = [v for v in range(g.n_vertices) if g.side[v] == 0]
+    left = [v for v in range(g.n_vertices) if g.side[v] == 0 and g.adjacency[v]]
     pair = [-1] * g.n_vertices
     dist = {}
     size = 0

@@ -36,8 +36,7 @@ class Job:
         if (self.p is None) == (self.p_row is None):
             raise ValueError(f"job {self.id}: exactly one of p / p_row required")
         if self.p is not None:
-            if type(self.p) is not int:
-                object.__setattr__(self, "p", strict_int(self.p, f"job {self.id}: p"))
+            object.__setattr__(self, "p", strict_int(self.p, f"job {self.id}: p"))
             if self.p < 1:
                 raise ValueError(f"job {self.id}: processing requirement must be >= 1")
         if self.p_row is not None:
@@ -139,8 +138,7 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", tuple(
-            x if type(x) is int else strict_int(x, "machine index")
-            for x in self.assignment))
+            strict_int(x, "machine index") for x in self.assignment))
 
     @staticmethod
     def from_mapping(placement: dict[int, int], n: int) -> "Schedule":

@@ -6,7 +6,9 @@ import operator
 
 
 def strict_int(value, what: str) -> int:
-    """``value`` if it is an integer; bools, floats and strings raise ValueError."""
+    """``value`` as an exact ``int``; bools, floats and strings raise ValueError."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return operator.index(value)

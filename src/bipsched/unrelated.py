@@ -143,6 +143,9 @@ _ARRAY_MAX_WIDTH = 1 << 20
 # the array path holds loads, load sums and scaled keys in int64; values from
 # this bound upward take the dict path, which uses Python integers
 _INT64_LIMIT = 1 << 62
+# ``_dp_layers`` order codes stay below (width cap) << R = half the absent code
+_NO_CODE = 1 << 61
+_CODE_LAYERS = (_NO_CODE // (2 * _ARRAY_MAX_WIDTH)).bit_length() - 1
 
 
 def fptas_r2_core(jobs: Sequence[tuple[int, int]], epsilon) -> CoreResult:
@@ -166,8 +169,6 @@ def fptas_r2_core(jobs: Sequence[tuple[int, int]], epsilon) -> CoreResult:
     if any(a < 0 or b < 0 for a, b in entries):
         raise ValueError("processing times must be non-negative")
     n = len(entries)
-    if n == 0:
-        return CoreResult((), 1, Fraction(1), 0)
     load = [0, 0]
     for a, b in entries:
         load[0 if a <= b else 1] += min(a, b)
@@ -226,49 +227,49 @@ def _dp_layers(scaled: Sequence[tuple[int, int]], horizon: int, kmax: int,
                dn: int, dd: int) -> tuple[tuple[int, ...], int]:
     """The DP of ``_dp_dicts`` on dense int64 layers over keys 0..kmax.
 
-    ``val[k]`` is the least machine-2 load at key k, ``horizon + 1`` when k is
-    absent. Key t of the next layer has two candidate writers: the m1 move
-    from key t - ka (same value) and the m2 move from key t (value + b). The
-    dict program walks the previous layer in insertion order, writing m1 then
-    m2 for each key, and keeps the first writer on equal values. So the
-    insertion rank of every key is carried along, doubled: the m1 write to t
-    happens at step step[t - ka], the m2 write at step[t] + 1, and a key's new
-    rank is the order of its earliest write. Parents need one bit per key and
-    layer: an m1 pick at t came from t - ka, an m2 pick from t.
+    ``val[k]`` is the least machine-2 load at key k, ``horizon + 1`` if k is
+    absent. Key t has two candidate writers, the m1 move from t - ka and the
+    m2 move from t, and the dict program keeps the first on equal values. So
+    each key carries an order code that sorts present keys as their insertion
+    ranks do (``_NO_CODE`` if absent): the m1 write to t gets 2 * code[t - ka],
+    the m2 write 2 * code[t] + 1 if within the horizon, and a key takes its
+    least write. A cycle of R = ``_CODE_LAYERS`` layers holds codes scaled to
+    start at ranks << R, so its j-th layer's m1 write copies a code and its m2
+    write adds 2^(R - j); an argsort at its end restores ranks << R. Per key:
+    50 bytes of work arrays, allocated once, and one parent bit per layer.
     """
     width = kmax + 1
     absent = horizon + 1
     val = np.full(width, absent, dtype=np.int64)
     val[0] = 0
-    # step[k] = 2 * insertion rank of key k; absent keys hold 2 * count, the
-    # "never" step, past every write the layer makes
-    step = np.full(width, 2, dtype=np.int64)
-    step[0] = 0
-    count = state_count = 1
-    v1 = np.empty(width, dtype=np.int64)
-    s1 = np.empty(width, dtype=np.int64)
-    picks = []
-    for ka, b in scaled:
-        never = 2 * count
+    code = np.full(width, _NO_CODE, dtype=np.int64)
+    code[0] = 0
+    v1, v2, c1, c2 = (np.empty(width, dtype=np.int64) for _ in range(4))
+    tie, on_m1 = np.empty(width, dtype=bool), np.empty(width, dtype=bool)
+    state_count, picks = 1, []
+    for layer, (ka, b) in enumerate(scaled):
+        half = 1 << (_CODE_LAYERS - 1 - layer % _CODE_LAYERS)
         shift = min(ka, width)
         v1[:shift] = absent
         v1[shift:] = val[:width - shift]
-        s1[:shift] = never
-        s1[shift:] = step[:width - shift]
-        v2 = val + b
+        c1[:shift] = _NO_CODE
+        c1[shift:] = code[:width - shift]
+        np.add(val, b, out=v2)
+        np.add(code, half, out=c2)
         # m1 wins iff v1 < v2, or v1 == v2 and it was written first; where
         # the m1 move is invalid the bit is never read, as the key is absent
         # or taken by m2 with v2 <= horizon < v1
-        on_m1 = v2 >= v1 + (step < s1)
-        val = np.minimum(v1, v2)
-        first = np.minimum(s1, np.where(v2 < absent, step + 1, never))
-        written = np.zeros(never + 1, dtype=np.int64)
-        written[first] = 2
-        ranks = np.cumsum(written)
-        step = ranks[first] - 2
-        count = int(ranks[never - 1]) // 2
-        state_count = max(state_count, count)
+        np.less(v1, v2, out=on_m1)
+        np.equal(v1, v2, out=tie)
+        np.less(c1, c2, out=on_m1, where=tie)
         picks.append(np.packbits(on_m1))
+        np.minimum(v1, v2, out=val)
+        np.putmask(c2, np.greater_equal(v2, absent, out=tie), _NO_CODE)
+        np.minimum(c1, c2, out=code)
+        count = int(np.count_nonzero(np.less(val, absent, out=tie)))
+        state_count = max(state_count, count)
+        if half == 1:
+            code[np.argsort(code)[:count]] = np.arange(count) << _CODE_LAYERS
 
     keys = np.flatnonzero(val < absent)
     key = int(keys[np.argmin(np.maximum(keys * dn, val[keys] * dd))])

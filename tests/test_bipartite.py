@@ -206,6 +206,31 @@ def test_mwis_matches_brute_force():
         assert g.total_weight(got) == brute_max_weight_is(g)
 
 
+def _matching_on(g, keep):
+    """max_matching of the subgraph on the increasing vertex list keep, in g's ids."""
+    index = {v: i for i, v in enumerate(keep)}
+    size, edges = max_matching(BipGraph(len(keep), [(index[a], index[b]) for a, b in g.edges]))
+    return size, tuple((keep[a], keep[b]) for a, b in edges)
+
+
+def test_matching_unchanged_by_isolated_vertices():
+    # a graph's matching is that of its non-isolated vertices, relabelled;
+    # the isolated ones sit anywhere in the id order
+    graphs = [gen_gilbert(GilbertParams.from_a(200, Fraction(1), 2106))]
+    for s in range(40):
+        g = random_bipartite(substream_seed(16, s))
+        rng = SplitMix64(substream_seed(17, s))
+        order = list(range(g.n_vertices))
+        for _ in range(1 + rng.below(6)):
+            order.insert(rng.below(len(order) + 1), None)
+        label = {v: i for i, v in enumerate(order) if v is not None}
+        graphs.append(BipGraph(len(order), [(label[a], label[b]) for a, b in g.edges]))
+    for g in graphs:
+        keep = [v for v in range(g.n_vertices) if g.adjacency[v]]
+        assert len(keep) < g.n_vertices
+        assert max_matching(g) == _matching_on(g, keep)
+
+
 def test_matching_handles_long_augmenting_paths():
     # a 4001-vertex path forces deep alternating searches
     n = 4001

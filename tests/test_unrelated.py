@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bipsched import unrelated
-from bipsched import (BipGraph, Instance, Job, MachineEnv, Schedule,
+from bipsched import (BipGraph, CoreResult, Instance, Job, MachineEnv, Schedule,
                       SplitMix64, exact_min_makespan, fptas_r2_bipartite,
                       fptas_r2_bipartite_with_stats, fptas_r2_core,
                       machine_loads, makespan, reduce_components,
@@ -171,6 +171,64 @@ def test_fptas_core_array_layers_match_reference(case):
         assert fptas_r2_core(jobs, eps) == reference_fptas_r2_core(jobs, eps)
 
 
+@pytest.mark.parametrize("code_layers", [1, 2])
+@settings(max_examples=150, deadline=None)
+@given(case=core_inputs())
+def test_fptas_core_array_layers_match_reference_with_short_code_cycles(code_layers, case):
+    # order codes turned back into ranks after every layer or every second one
+    jobs, eps = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unrelated, "_ARRAY_MIN_WIDTH", 1)
+        mp.setattr(unrelated, "_CODE_LAYERS", code_layers)
+        assert fptas_r2_core(jobs, eps) == reference_fptas_r2_core(jobs, eps)
+
+
+@pytest.mark.parametrize("jobs, eps, code_layers", [
+    ([(1, 0), (3, 3), (1, 2), (2, 1)], Fraction(1), unrelated._CODE_LAYERS),
+    ([(1, 3), (2, 1), (1, 2), (1, 2)], Fraction(1, 2), 2),
+    ([(4, 0), (2, 3), (4, 4), (2, 1)], Fraction(1, 2), 1),
+])
+def test_fptas_core_order_codes_ignore_m2_writes_past_the_horizon(jobs, eps, code_layers):
+    # a machine-2 write above the horizon must not give its key a code: it
+    # would mark an absent key present, or rank a key by a write never made
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unrelated, "_ARRAY_MIN_WIDTH", 1)
+        mp.setattr(unrelated, "_CODE_LAYERS", code_layers)
+        assert fptas_r2_core(jobs, eps) == reference_fptas_r2_core(jobs, eps)
+
+
+def test_fptas_core_order_codes_survive_compressions():
+    # 130 tie-heavy jobs on a table of about 500 keys: three default code
+    # cycles, each ended by a compression, on the array path
+    rng = SplitMix64(substream_seed(44, 0))
+    jobs = [(rng.below(31), rng.below(31)) for _ in range(130)]
+    eps = Fraction(1, 2)
+    assert _width(jobs, eps) >= max(256, unrelated._ARRAY_MIN_WIDTH)
+    assert len(jobs) > 3 * unrelated._CODE_LAYERS
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return dp_layers(*args)
+
+    dp_layers = unrelated._dp_layers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unrelated, "_dp_layers", spy)
+        res = fptas_r2_core(jobs, eps)
+    assert len(calls) == 1
+    assert res == reference_fptas_r2_core(jobs, eps)
+    assert type(res.state_count) is int
+
+
+def test_order_codes_fit_below_the_absent_code():
+    # ranks below the width cap, shifted by the cycle length, plus the halves
+    # added within one cycle stay below the code of an absent key
+    top = (unrelated._ARRAY_MAX_WIDTH - 1) << unrelated._CODE_LAYERS
+    assert top + (1 << unrelated._CODE_LAYERS) <= unrelated._NO_CODE
+    assert unrelated._NO_CODE * 2 < 1 << 63
+    assert unrelated._CODE_LAYERS <= 40
+
+
 @pytest.mark.parametrize("jobs, eps, layers", [
     ([(1, 2), (3, 0), (2, 2)], Fraction(1), 0),
     ([(900, 700), (400, 950), (10, 5)], Fraction(1, 100), 1),
@@ -208,6 +266,14 @@ def test_fptas_core_out_of_range_tables_take_dict_path(jobs, eps):
         mp.setattr(unrelated, "_dp_layers", refuse)
         res = fptas_r2_core(jobs, eps)
     assert res == reference_fptas_r2_core(jobs, eps)
+
+
+def test_fptas_core_without_load():
+    # no jobs, or jobs of zero time: a horizon of 0 and one state
+    for jobs in ([], [(0, 0)] * 3):
+        res = fptas_r2_core(jobs, Fraction(1, 2))
+        assert res == CoreResult((0,) * len(jobs), 1, Fraction(1), 0)
+        assert res == reference_fptas_r2_core(jobs, Fraction(1, 2))
 
 
 def test_fptas_core_epsilon_validation():
