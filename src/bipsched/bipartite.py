@@ -1,13 +1,15 @@
 """Bipartite graph algorithms.
 
-Provides the vertex-weighted bipartite graph container plus the four
+Provides the structure-only bipartite graph container plus the four
 subroutines the schedulers rely on: certified 2-coloring, inequitable
 2-coloring, maximum matching (Hopcroft-Karp) and maximum-weight independent
-sets via max-flow/min-cut, optionally constrained to contain a prescribed
-independent set. The one BFS that 2-colors a graph also records each
-connected component as its two sides, the binary choice every two-machine
-solver makes. Graphs are immutable, so the inequitable 2-coloring is
-computed once per graph and cached.
+sets, optionally constrained to contain a prescribed independent set. Vertex
+weights are an optional argument (None: unit weights). Unit-weight
+independent sets are read off the matching (Koenig), weighted ones off a
+min-cut; both give the same set. The one BFS that 2-colors a graph also
+records each connected component as its two sides, the binary choice every
+two-machine solver makes. Graphs are immutable, so the unit inequitable
+2-coloring is computed once per graph and cached.
 """
 
 from __future__ import annotations
@@ -67,10 +69,9 @@ def _odd_walk(u: int, v: int, parent: Sequence[int]) -> list[int]:
 
 
 class BipGraph:
-    """Simple bipartite graph with positive integer vertex weights.
+    """Simple bipartite graph on the vertices 0..n-1.
 
-    Weights must be integers; bools and floats raise ValueError. Edges are
-    canonicalized (sorted, deduplicated, (lo, hi) order); self-loops
+    Edges are canonicalized (sorted, deduplicated, (lo, hi) order); self-loops
     are rejected. Input whose (lo, hi) pairs already come strictly increasing,
     as from the Gilbert sampler and ``induced``, skips the set and the sort.
     A proper 2-coloring is computed at construction time, so any existing
@@ -80,9 +81,7 @@ class BipGraph:
     (side-0, side-1) vertex tuples.
     """
 
-    def __init__(self, n_vertices: int,
-                 edges: Iterable[tuple[int, int]] = (),
-                 weights: Sequence[int] | None = None):
+    def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]] = ()):
         if n_vertices < 0:
             raise ValueError("vertex count must be non-negative")
         canon = []
@@ -96,15 +95,6 @@ class BipGraph:
             canon = sorted(set(canon))
         self.n_vertices = n_vertices
         self.edges = tuple(canon)
-        if weights is None:
-            self.weights = (1,) * n_vertices
-        else:
-            ws = tuple(strict_int(w, "vertex weight") for w in weights)
-            if len(ws) != n_vertices:
-                raise ValueError("one weight per vertex required")
-            if any(w <= 0 for w in ws):
-                raise ValueError("weights must be positive integers")
-            self.weights = ws
         adj: list[list[int]] = [[] for _ in range(n_vertices)]
         for a, b in self.edges:
             adj[a].append(b)
@@ -116,61 +106,74 @@ class BipGraph:
 
     @cached_property
     def _inequitable_coloring(self) -> tuple[frozenset[int], frozenset[int]]:
-        """Cached result of inequitable_two_coloring."""
-        weight = self.weights.__getitem__
-        v1: list[int] = []
-        v2: list[int] = []
-        for heavy, light in self.component_sides:
-            # side 0 holds the BFS root, so ties favor side 0
-            if sum(map(weight, heavy)) < sum(map(weight, light)):
-                heavy, light = light, heavy
-            v1 += heavy
-            v2 += light
-        return frozenset(v1), frozenset(v2)
+        """Cached result of the unit-weight inequitable_two_coloring."""
+        return _heavier_sides(self.component_sides, len)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def total_weight(self, vertices: Iterable[int]) -> int:
-        return sum(self.weights[v] for v in vertices)
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         vs = set(vertices)
         return all(not (vs & set(self.adjacency[v])) for v in vs)
 
-    def induced(self, keep: Sequence[int]) -> tuple["BipGraph", dict[int, int]]:
-        """Subgraph on ``keep``; returns it with the old->new index map."""
-        keep = sorted(keep)
-        to_new = {v: i for i, v in enumerate(keep)}
+    def induced(self, keep: Iterable[int]) -> "BipGraph":
+        """Subgraph on ``keep``; its vertex i is the i-th smallest of ``keep``."""
+        to_new = {v: i for i, v in enumerate(sorted(keep))}
         edges = [(to_new[a], to_new[b]) for a, b in self.edges
                  if a in to_new and b in to_new]
-        weights = [self.weights[v] for v in keep]
-        return BipGraph(len(keep), edges, weights), to_new
+        return BipGraph(len(to_new), edges)
 
     def __repr__(self):
         return f"BipGraph(n={self.n_vertices}, edges={len(self.edges)})"
 
 
-def inequitable_two_coloring(g: BipGraph) -> tuple[frozenset[int], frozenset[int]]:
+def _checked_weights(g: BipGraph, weights: Iterable[int]) -> tuple[int, ...]:
+    """One positive exact integer per vertex of ``g``; ValueError otherwise."""
+    ws = tuple(strict_int(w, "vertex weight") for w in weights)
+    if len(ws) != g.n_vertices:
+        raise ValueError("one weight per vertex required")
+    if any(w <= 0 for w in ws):
+        raise ValueError("weights must be positive integers")
+    return ws
+
+
+def _heavier_sides(component_sides, weight) -> tuple[frozenset[int], frozenset[int]]:
+    """Per component, the side of larger ``weight(vertices)`` to V1."""
+    v1: list[int] = []
+    v2: list[int] = []
+    for heavy, light in component_sides:
+        # side 0 holds the BFS root, so ties favor side 0
+        if weight(heavy) < weight(light):
+            heavy, light = light, heavy
+        v1 += heavy
+        v2 += light
+    return frozenset(v1), frozenset(v2)
+
+
+def inequitable_two_coloring(g: BipGraph, weights: Sequence[int] | None = None
+                             ) -> tuple[frozenset[int], frozenset[int]]:
     """Proper 2-coloring (V1, V2) maximizing the total weight of V1.
 
-    Per component the heavier side goes to V1; on ties the side containing the
-    smallest vertex id of the component wins. Runs in O(|V| + |E|) once per
-    graph; later calls return the cached result.
+    ``weights`` gives one positive integer per vertex; None means unit
+    weights. Per component the heavier side goes to V1; on ties the side
+    containing the smallest vertex id of the component wins. Runs in
+    O(|V| + |E|); the unit-weight result is cached on the graph.
     """
-    return g._inequitable_coloring
+    if weights is None:
+        return g._inequitable_coloring
+    ws = _checked_weights(g, weights)
+    return _heavier_sides(g.component_sides, lambda vs: sum(map(ws.__getitem__, vs)))
 
 
 _INF = -1
 
 
-def max_matching(g: BipGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Maximum-cardinality matching via Hopcroft-Karp layered phases.
+def _hopcroft_karp(g: BipGraph) -> tuple[int, list[int]]:
+    """(matching size, mate of each vertex or -1) by Hopcroft-Karp phases.
 
     A greedy pass first matches each side-0 vertex, in id order, to its
-    first free neighbor; the phases then augment from that matching. Returns
-    (size, matched edge list); the edge list is a deterministic function of
-    the canonical edge order. Isolated vertices are left out of the search.
+    first free neighbor; the phases then augment from that matching.
+    Isolated vertices are left out of the search.
     """
     left = [v for v in range(g.n_vertices) if g.side[v] == 0 and g.adjacency[v]]
     pair = [-1] * g.n_vertices
@@ -240,8 +243,17 @@ def max_matching(g: BipGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
         for u in left:
             if pair[u] == -1 and dfs(u):
                 size += 1
-    edges = tuple(sorted((u, pair[u]) if u < pair[u] else (pair[u], u)
-                         for u in left if pair[u] != -1))
+    return size, pair
+
+
+def max_matching(g: BipGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Maximum-cardinality matching (Hopcroft-Karp): (size, sorted matched edges).
+
+    The edge list is a deterministic function of the canonical edge order.
+    """
+    size, pair = _hopcroft_karp(g)
+    edges = tuple(sorted((u, w) if u < w else (w, u)
+                         for u, w in enumerate(pair) if w != -1 and g.side[u] == 0))
     return size, edges
 
 
@@ -320,53 +332,93 @@ class _Dinic:
         return seen
 
 
-def max_weight_independent_set(g: BipGraph) -> frozenset[int]:
+def _koenig_independent_set(g: BipGraph) -> frozenset[int]:
+    """Maximum independent set from a maximum matching (Koenig's theorem).
+
+    An alternating BFS starts from every unmatched side-0 vertex, isolated
+    ones included, and goes from side 0 to any neighbor, from side 1 to its
+    mate: the residual reachability of the unit min-cut network, so the set
+    (side 0 reached) | (side 1 not reached) is the min-cut route's. It is
+    certified independent and of size n - mu, which proves it maximum.
+    """
+    n = g.n_vertices
+    side, adjacency = g.side, g.adjacency
+    size, pair = _hopcroft_karp(g)
+    reached = [False] * n
+    queue = [u for u in range(n) if side[u] == 0 and pair[u] == -1]
+    for u in queue:
+        reached[u] = True
+    for u in queue:  # side-0 vertices only; appended to while walked
+        for v in adjacency[u]:
+            if not reached[v]:
+                reached[v] = True
+                w = pair[v]
+                if w != -1 and not reached[w]:
+                    reached[w] = True
+                    queue.append(w)
+    result = frozenset(v for v in range(n) if reached[v] == (side[v] == 0))
+    if len(result) != n - size or any(a in result and b in result for a, b in g.edges):
+        raise AssertionError("Koenig set is not an independent set of size n - mu")
+    return result
+
+
+def max_weight_independent_set(g: BipGraph,
+                               weights: Sequence[int] | None = None) -> frozenset[int]:
     """Maximum total-weight independent set.
 
-    Complement of a minimum-weight vertex cover read off a min S-T cut of the
-    standard source -> side A -> side B -> sink network with vertex-weight
-    capacities.
+    ``weights``: one positive integer per vertex, None for unit weights. The
+    set is the complement of the vertex cover given by the inclusion-minimal
+    min S-T cut (residual reachability) of the source -> side 0 -> side 1 ->
+    sink network with vertex-weight capacities. Unit weights read the same
+    set off a maximum matching instead.
     """
+    ws = None if weights is None else _checked_weights(g, weights)
+    if ws is None or all(w == 1 for w in ws):
+        return _koenig_independent_set(g)
     n = g.n_vertices
     src, sink = n, n + 1
     net = _Dinic(n + 2)
-    big = sum(g.weights) + 1
+    total = sum(ws)
     for v in range(n):
         if g.side[v] == 0:
-            net.add_edge(src, v, g.weights[v])
+            net.add_edge(src, v, ws[v])
         else:
-            net.add_edge(v, sink, g.weights[v])
+            net.add_edge(v, sink, ws[v])
     for a, b in g.edges:
         u, v = (a, b) if g.side[a] == 0 else (b, a)
-        net.add_edge(u, v, big)
+        net.add_edge(u, v, total + 1)
     flow = net.max_flow(src, sink)
     reach = net.residual_reachable(src)
     # cover = (A not reached) | (B reached); independent set is the complement
     result = frozenset(v for v in range(n)
                        if (g.side[v] == 0) == (v in reach))
-    if g.total_weight(result) != sum(g.weights) - flow:
+    if sum(ws[v] for v in result) != total - flow:
         raise AssertionError("independent set weight does not match the min cut")
     return result
 
 
-def independent_set_containing(g: BipGraph,
-                               required: Iterable[int]) -> frozenset[int] | None:
+def independent_set_containing(g: BipGraph, required: Iterable[int],
+                               weights: Sequence[int] | None = None
+                               ) -> frozenset[int] | None:
     """Maximum-weight independent set containing all of ``required``.
 
-    None when ``required`` itself is not independent. Otherwise equals
-    ``required`` united with a maximum-weight independent set of the graph
-    left after removing the closed neighborhood of ``required``.
+    ``weights`` as in max_weight_independent_set. None when ``required``
+    itself is not independent. Otherwise equals ``required`` united with a
+    maximum-weight independent set of the graph left after removing the
+    closed neighborhood of ``required``.
     """
     req = frozenset(required)
     if not g.is_independent(req):
         return None
+    if not req:
+        return max_weight_independent_set(g, weights)
+    ws = None if weights is None else _checked_weights(g, weights)
     closed = set(req)
     for v in req:
         closed.update(g.adjacency[v])
     keep = [v for v in range(g.n_vertices) if v not in closed]
     if not keep:
         return req
-    sub, to_new = g.induced(keep)
-    to_old = {i: v for v, i in to_new.items()}
-    rest = max_weight_independent_set(sub)
-    return req | frozenset(to_old[i] for i in rest)
+    rest = max_weight_independent_set(g.induced(keep),
+                                      None if ws is None else [ws[v] for v in keep])
+    return req | frozenset(keep[i] for i in rest)

@@ -91,7 +91,11 @@ def obj_to_instance(obj) -> Instance:
             if "p_row" in rec:
                 jobs.append(Job(id=job_id, p_row=tuple(rec["p_row"])))
             else:
-                jobs.append(Job(id=job_id, p=strict_int(rec["p"], f"job {job_id}: p")))
+                try:
+                    p = strict_int(rec["p"], "p")
+                except ValueError as exc:
+                    raise ValueError(f"job {job_id}: {exc}") from None
+                jobs.append(Job(id=job_id, p=p))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad job record: {exc}") from exc
     edges = obj.get("edges", [])

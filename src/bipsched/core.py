@@ -35,15 +35,19 @@ class Job:
     def __post_init__(self):
         if (self.p is None) == (self.p_row is None):
             raise ValueError(f"job {self.id}: exactly one of p / p_row required")
-        if self.p is not None:
-            object.__setattr__(self, "p", strict_int(self.p, f"job {self.id}: p"))
-            if self.p < 1:
-                raise ValueError(f"job {self.id}: processing requirement must be >= 1")
-        if self.p_row is not None:
-            what = f"job {self.id}: p_row entry"
-            object.__setattr__(self, "p_row", tuple(strict_int(x, what) for x in self.p_row))
-            if any(x < 1 for x in self.p_row):
-                raise ValueError(f"job {self.id}: all p_row entries must be >= 1")
+        # messages name the job only when raised, not for every valid job
+        try:
+            if self.p is not None:
+                object.__setattr__(self, "p", strict_int(self.p, "p"))
+                if self.p < 1:
+                    raise ValueError("processing requirement must be >= 1")
+            else:
+                object.__setattr__(self, "p_row", tuple(
+                    strict_int(x, "p_row entry") for x in self.p_row))
+                if any(x < 1 for x in self.p_row):
+                    raise ValueError("all p_row entries must be >= 1")
+        except ValueError as exc:
+            raise ValueError(f"job {self.id}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -157,9 +161,10 @@ def _check_shape(sched: Schedule, inst: Instance) -> None:
     if len(sched.assignment) != inst.n:
         raise MalformedScheduleError(
             f"assignment length {len(sched.assignment)} != {inst.n} jobs")
-    for j, mi in enumerate(sched.assignment):
-        if not (0 <= mi < inst.env.m):
-            raise MalformedScheduleError(f"job {j}: machine index {mi} out of range")
+    m = inst.env.m
+    if min(sched.assignment) < 0 or max(sched.assignment) >= m:
+        j, mi = next((j, mi) for j, mi in enumerate(sched.assignment) if not 0 <= mi < m)
+        raise MalformedScheduleError(f"job {j}: machine index {mi} out of range")
 
 
 def machine_loads(sched: Schedule, inst: Instance) -> tuple[int, ...]:

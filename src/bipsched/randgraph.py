@@ -133,7 +133,7 @@ def _edges(n: int, threshold: int, seed: int) -> list[tuple[int, int]]:
 
 
 def gen_gilbert(params: GilbertParams) -> BipGraph:
-    """Sample G_{n,n,p}: parts {0..n-1} and {n..2n-1}, unit vertex weights."""
+    """Sample G_{n,n,p}: parts {0..n-1} and {n..2n-1}."""
     n = params.n
     if params.p == 0:
         return BipGraph(2 * n)
@@ -142,12 +142,6 @@ def gen_gilbert(params: GilbertParams) -> BipGraph:
         # every draw lies below: p == 1, or p within 2^-64 of it
         return BipGraph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
     return BipGraph(2 * n, _edges(n, threshold, params.seed))
-
-
-def _unit_graph(g: BipGraph) -> BipGraph:
-    if all(w == 1 for w in g.weights):
-        return g
-    return BipGraph(g.n_vertices, g.edges)
 
 
 def alg2_schedule_with_lb(g: BipGraph, env: MachineEnv) -> tuple[Schedule, Fraction]:
@@ -165,7 +159,7 @@ def alg2_schedule_with_lb(g: BipGraph, env: MachineEnv) -> tuple[Schedule, Fract
         lb = min_time_capacity_at_least(env.speeds_by_rank(), n_jobs)
         return Schedule((0,) * n_jobs), lb
 
-    v1, v2 = inequitable_two_coloring(_unit_graph(g))
+    v1, v2 = inequitable_two_coloring(g)
     speeds = env.speeds_by_rank()
     labels = env.ranks
     lb = min_time_capacity_at_least(speeds, n_jobs)

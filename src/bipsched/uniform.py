@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bipartite import BipGraph, independent_set_containing, inequitable_two_coloring
+from .bipartite import independent_set_containing, inequitable_two_coloring
 from .core import (Instance, Job, MachineEnv, MachineKind, Schedule,
                    makespan as eval_makespan, totals)
 from .errors import CapacityOverflow, InfeasibleError
@@ -153,12 +153,8 @@ class SqrtPsumInfo:
     chosen: str
 
 
-def _schedule_s2(inst: Instance, gw: BipGraph, ind: frozenset[int],
-                 lb: OptLb) -> Schedule | None:
-    """Step-11 placement with the proof's inflated budgets; None on overflow.
-
-    ``gw`` is the conflict graph weighted by processing times.
-    """
+def _schedule_s2(inst: Instance, ind: frozenset[int], lb: OptLb) -> Schedule | None:
+    """Step-11 placement with the proof's inflated budgets; None on overflow."""
     psum, _ = totals(inst)
     speeds = inst.env.speeds_by_rank()
     labels = inst.env.ranks
@@ -181,11 +177,11 @@ def _schedule_s2(inst: Instance, gw: BipGraph, ind: frozenset[int],
         return None
 
     if rest:
-        sub, to_new = gw.induced(rest)
-        to_old = {i: v for v, i in to_new.items()}
-        w1, w2 = inequitable_two_coloring(sub)
-        j1 = frozenset(to_old[i] for i in w1)
-        j2 = frozenset(to_old[i] for i in w2)
+        # rest is increasing, so vertex i of the subgraph is job rest[i]
+        sub = inst.conflicts.induced(rest)
+        w1, w2 = inequitable_two_coloring(sub, [inst.jobs[j].p for j in rest])
+        j1 = frozenset(rest[i] for i in w1)
+        j2 = frozenset(rest[i] for i in w2)
     else:
         j1 = j2 = frozenset()
     j1_sum = sum(inst.jobs[j].p for j in j1)
@@ -238,9 +234,7 @@ def sqrt_psum_schedule_detailed(inst: Instance) -> tuple[Schedule, SqrtPsumInfo]
                                           None, None, "brute-force")
 
     heavy = frozenset(j for j in range(inst.n) if inst.jobs[j].p ** 2 >= psum)
-    # the conflict graph weighted by processing times, built once per call
-    gw = BipGraph(inst.n, inst.conflicts.edges, [job.p for job in inst.jobs])
-    ind = independent_set_containing(gw, heavy)
+    ind = independent_set_containing(inst.conflicts, heavy, [job.p for job in inst.jobs])
 
     sub, (label_a, label_b) = _two_fastest_subinstance(inst)
     s1_two = fptas_r2_bipartite(sub, Fraction(1))
@@ -252,7 +246,7 @@ def sqrt_psum_schedule_detailed(inst: Instance) -> tuple[Schedule, SqrtPsumInfo]
     lb = None
     if ind is not None and m >= 3:
         lb = opt_lb(inst, ind)
-        s2 = _schedule_s2(inst, gw, ind, lb)
+        s2 = _schedule_s2(inst, ind, lb)
         if s2 is not None:
             s2_cmax = eval_makespan(s2, inst)
 

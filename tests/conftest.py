@@ -44,13 +44,25 @@ def proper_two_colorings(g: BipGraph):
             yield sides
 
 
-def best_first_class_weight(g: BipGraph) -> int:
+def unit_or(weights, g: BipGraph) -> Sequence[int]:
+    """``weights``, or unit weights for g when None."""
+    return (1,) * g.n_vertices if weights is None else weights
+
+
+def weight_of(weights, vertices) -> int:
+    """Total weight of ``vertices``; None weights count each vertex as 1."""
+    vs = list(vertices)
+    return len(vs) if weights is None else sum(weights[v] for v in vs)
+
+
+def best_first_class_weight(g: BipGraph, weights=None) -> int:
     """Max over proper 2-colorings of the weight of the first color class."""
-    return max(sum(w for v, w in enumerate(g.weights) if sides[v] == 0)
+    return max(sum(w for v, w in enumerate(unit_or(weights, g)) if sides[v] == 0)
                for sides in proper_two_colorings(g))
 
 
-def reference_inequitable_two_coloring(g: BipGraph) -> tuple[frozenset[int], frozenset[int]]:
+def reference_inequitable_two_coloring(g: BipGraph, weights=None
+                                       ) -> tuple[frozenset[int], frozenset[int]]:
     """Per-component inequitable 2-coloring: heavier side to V1, ties to side 0."""
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n_vertices))
@@ -60,8 +72,8 @@ def reference_inequitable_two_coloring(g: BipGraph) -> tuple[frozenset[int], fro
     for comp in sorted(sorted(c) for c in nx.connected_components(nxg)):
         side0 = [v for v in comp if g.side[v] == 0]
         side1 = [v for v in comp if g.side[v] == 1]
-        w0 = g.total_weight(side0)
-        w1 = g.total_weight(side1)
+        w0 = weight_of(weights, side0)
+        w1 = weight_of(weights, side1)
         # comp[0], the smallest vertex, is the BFS root and always on side 0,
         # so ties favor side 0
         if w0 >= w1:
@@ -168,16 +180,125 @@ def all_independent_sets(g: BipGraph):
                 yield frozenset(combo)
 
 
-def brute_max_weight_is(g: BipGraph) -> int:
-    return max(g.total_weight(s) for s in all_independent_sets(g))
+def brute_max_weight_is(g: BipGraph, weights=None) -> int:
+    return max(weight_of(weights, s) for s in all_independent_sets(g))
 
 
-def brute_max_weight_is_containing(g: BipGraph, required) -> int | None:
+def brute_max_weight_is_containing(g: BipGraph, required, weights=None) -> int | None:
     req = frozenset(required)
     if not g.is_independent(req):
         return None
-    return max((g.total_weight(s) for s in all_independent_sets(g) if req <= s),
+    return max((weight_of(weights, s) for s in all_independent_sets(g) if req <= s),
                default=None)
+
+
+# The min-cut maximum-weight independent set as it stood before unit weights
+# took the Koenig route, kept verbatim (weights an argument instead of a graph
+# field) as the reference whose set, not only its weight, the current one
+# must equal.
+class _Dinic:
+    """Max-flow on a small layered network with integer capacities."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.graph: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, c: int) -> None:
+        self.graph[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(c)
+        self.graph[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for eid in self.graph[u]:
+                    if self.cap[eid] > 0 and level[self.to[eid]] == -1:
+                        level[self.to[eid]] = level[u] + 1
+                        queue.append(self.to[eid])
+            if level[t] == -1:
+                return flow
+            it = [0] * self.n
+            # augmenting paths of the level graph by an explicit edge stack,
+            # advancing it[u] past dead ends; a path is as long as the graph
+            # is deep, which is too deep for recursion on long paths
+            path: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    pushed = min(1 << 62, min(self.cap[eid] for eid in path))
+                    for eid in path:
+                        self.cap[eid] -= pushed
+                        self.cap[eid ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                    continue
+                adj = self.graph[u]
+                while it[u] < len(adj):
+                    eid = adj[it[u]]
+                    if self.cap[eid] > 0 and level[self.to[eid]] == level[u] + 1:
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    u = self.to[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                path.append(eid)
+                u = self.to[eid]
+
+    def residual_reachable(self, s: int) -> set[int]:
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for eid in self.graph[u]:
+                v = self.to[eid]
+                if self.cap[eid] > 0 and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
+
+
+def reference_max_weight_independent_set(g: BipGraph, weights=None) -> frozenset[int]:
+    """Maximum total-weight independent set.
+
+    Complement of a minimum-weight vertex cover read off a min S-T cut of the
+    standard source -> side A -> side B -> sink network with vertex-weight
+    capacities.
+    """
+    weights = unit_or(weights, g)
+    n = g.n_vertices
+    src, sink = n, n + 1
+    net = _Dinic(n + 2)
+    big = sum(weights) + 1
+    for v in range(n):
+        if g.side[v] == 0:
+            net.add_edge(src, v, weights[v])
+        else:
+            net.add_edge(v, sink, weights[v])
+    for a, b in g.edges:
+        u, v = (a, b) if g.side[a] == 0 else (b, a)
+        net.add_edge(u, v, big)
+    flow = net.max_flow(src, sink)
+    reach = net.residual_reachable(src)
+    # cover = (A not reached) | (B reached); independent set is the complement
+    result = frozenset(v for v in range(n)
+                       if (g.side[v] == 0) == (v in reach))
+    if weight_of(weights, result) != sum(weights) - flow:
+        raise AssertionError("independent set weight does not match the min cut")
+    return result
 
 
 def brute_precolor_extension_exists(g: BipGraph, anchors, k: int = 3) -> bool:

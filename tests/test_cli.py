@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from bipsched import (BipGraph, Instance, Job, MachineEnv, exact_min_makespan,
                       fptas_r2_bipartite, makespan, q2_exact_unit, sqrt_psum_schedule,
                       two_approx_r2, unit_jobs)
-from bipsched.cli import (SOLVERS, canonical_dumps, fmt_rational, parse_instance,
-                          parse_rational, parse_schedule, run, write_instance)
+from bipsched.cli import (SOLVERS, canonical_dumps, fmt_rational, obj_to_instance,
+                          parse_instance, parse_rational, parse_schedule, run,
+                          write_instance)
 from bipsched.suites import q2_unit_instance, r2_instance, uniform_instance
 
 MINIMAL = '{"edges":[],"jobs":[{"id":0,"p":1}],"machines":{"kind":"identical","m":1}}\n'
@@ -65,6 +66,20 @@ def test_non_bipartite_rejected(tmp_path):
     path = write(tmp_path / "tri.json", canonical_dumps(obj))
     assert run(["solve", "--alg", "oracle", "-i", path,
                 "-o", str(path) + ".out"]) == 1
+
+
+def test_job_record_errors_name_the_job():
+    base = {"machines": {"kind": "identical", "m": 2}, "edges": []}
+    cases = (([{"id": 0, "p": None}], "job 0: p must be an integer, got None"),
+             ([{"id": 0, "p": 1.5}], "job 0: p must be an integer, got 1.5"),
+             ([{"id": 1, "p": 2}, {"id": 0, "p": False}], "job 0: p must be an integer, got False"),
+             ([{"id": 0, "p": 0}], "job 0: processing requirement must be >= 1"),
+             ([{"id": 0, "p_row": [1, 2.5]}], "job 0: p_row entry must be an integer, got 2.5"),
+             ([{"id": 0}], "bad job record: 'p'"))
+    for jobs, message in cases:
+        with pytest.raises(ValueError) as exc:
+            obj_to_instance(dict(base, jobs=jobs))
+        assert str(exc.value) == message
 
 
 def test_malformed_json_diagnostic(tmp_path):

@@ -73,6 +73,18 @@ def test_malformed_schedules():
         validate(Schedule((0, 5)), inst)
 
 
+def test_shape_errors_name_the_first_bad_job():
+    inst = uniform_inst([1, 1], (1, 1, 1))
+    for assignment, message in (((0, 2, 1), "job 1: machine index 2 out of range"),
+                                ((0, -1, 5), "job 1: machine index -1 out of range"),
+                                ((5, 0, -1), "job 0: machine index 5 out of range"),
+                                ((1, 1), "assignment length 2 != 3 jobs")):
+        for check in (makespan, validate, machine_loads):
+            with pytest.raises(MalformedScheduleError) as exc:
+                check(Schedule(assignment), inst)
+            assert str(exc.value) == message
+
+
 def test_makespan_permutation_invariant_within_machine():
     # only the multiset of jobs per machine matters
     inst = uniform_inst([3, 2, 1], (5, 4, 3, 2, 1))
@@ -145,6 +157,19 @@ def test_job_times_must_be_integers():
             Job(id=0, p=bad)
     job = Job(id=0, p=np.int64(4))
     assert job.p == 4 and type(job.p) is int
+
+
+def test_job_error_messages_name_the_job():
+    cases = ((dict(id=3, p=2.5), "job 3: p must be an integer, got 2.5"),
+             (dict(id=3, p="4"), "job 3: p must be an integer, got '4'"),
+             (dict(id=3, p=0), "job 3: processing requirement must be >= 1"),
+             (dict(id=4, p_row=(1, 2.0)), "job 4: p_row entry must be an integer, got 2.0"),
+             (dict(id=4, p_row=(1, 0)), "job 4: all p_row entries must be >= 1"),
+             (dict(id=5), "job 5: exactly one of p / p_row required"))
+    for kwargs, message in cases:
+        with pytest.raises(ValueError) as exc:
+            Job(**kwargs)
+        assert str(exc.value) == message
 
 
 def test_schedule_machine_indices_must_be_integers():

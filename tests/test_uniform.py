@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bipsched import (BipGraph, Instance, Job, MachineEnv, SplitMix64,
-                      exact_min_makespan, list_schedule, makespan,
+from bipsched import (BipGraph, GilbertParams, Instance, Job, MachineEnv, SplitMix64,
+                      exact_min_makespan, gen_gilbert, list_schedule, makespan,
                       min_time_capacity_at_least, opt_lb, q2_exact_unit,
                       sqrt_psum_schedule, sqrt_psum_schedule_detailed, totals,
                       unit_jobs, validate)
@@ -13,7 +13,8 @@ from bipsched.errors import CapacityOverflow, InfeasibleError
 from bipsched.randgraph import substream_seed
 from bipsched.suites import q2_unit_instance, uniform_instance
 
-from conftest import exhaustive_min_makespan, opt_lb_by_scan, reference_q2_exact_unit
+from conftest import (exhaustive_min_makespan, opt_lb_by_scan,
+                      reference_max_weight_independent_set, reference_q2_exact_unit)
 
 
 def uniform_inst(speeds, ps, edges=(), allow_sub_unit=False):
@@ -24,9 +25,8 @@ def uniform_inst(speeds, ps, edges=(), allow_sub_unit=False):
 
 def heavy_independent_set(inst):
     psum, _ = totals(inst)
-    g = BipGraph(inst.n, inst.conflicts.edges, [j.p for j in inst.jobs])
     heavy = frozenset(j.id for j in inst.jobs if j.p * j.p >= psum)
-    return independent_set_containing(g, heavy)
+    return independent_set_containing(inst.conflicts, heavy, [j.p for j in inst.jobs])
 
 
 def test_opt_lb_examples():
@@ -194,6 +194,50 @@ def test_sqrt_psum_ratio_on_random_instances():
         opt = exact_min_makespan(inst).makespan
         ratio = makespan(sched, inst) / opt
         assert ratio * ratio <= totals(inst)[0]
+
+
+def test_sqrt_psum_builds_only_the_rest_subgraph(monkeypatch):
+    # unit Gilbert instances with m >= 3: the MWIS runs on inst.conflicts
+    # itself, so the one graph built is the induced J \ I subgraph of step 11
+    builds = []
+    init = BipGraph.__init__
+    monkeypatch.setattr(BipGraph, "__init__",
+                        lambda self, n, *a, **k: builds.append(n) or init(self, n, *a, **k))
+    built_rest = 0
+    for speeds in ([8, 4, 2, 1], [3, 2, 1], [1, 1, 1, 1, 1]):
+        for seed in range(3):
+            g = gen_gilbert(GilbertParams.from_a(150, Fraction(1), seed))
+            inst = Instance(unit_jobs(g.n_vertices), MachineEnv.uniform(speeds), g)
+            builds.clear()
+            sched, info = sqrt_psum_schedule_detailed(inst)
+            rest = inst.n - len(info.independent)
+            assert builds in ([], [rest])
+            built_rest += len(builds)
+            assert validate(sched, inst).valid
+    assert built_rest > 0
+
+
+def test_sqrt_psum_independent_set_matches_min_cut_reference():
+    # weighted instances: required heavy jobs plus the min-cut MWIS of what
+    # their closed neighborhood leaves, weights passed as processing times
+    checked = 0
+    for s in range(80):
+        inst = uniform_instance(substream_seed(36, s), s)
+        _, info = sqrt_psum_schedule_detailed(inst)
+        if info.independent is None:
+            continue
+        closed = set(info.heavy)
+        for v in info.heavy:
+            closed.update(inst.conflicts.adjacency[v])
+        keep = [v for v in range(inst.n) if v not in closed]
+        want = set(info.heavy)
+        if keep:
+            sub = inst.conflicts.induced(keep)
+            rest = reference_max_weight_independent_set(sub, [inst.jobs[v].p for v in keep])
+            want |= {keep[i] for i in rest}
+        assert info.independent == want
+        checked += 1
+    assert checked > 20
 
 
 def test_sqrt_psum_identical_machines():

@@ -6,7 +6,8 @@ import pytest
 
 from bipsched import (BipGraph, GilbertParams, MachineEnv, PrecolorInstance,
                       build_uniform_hardness, build_unrelated_hardness,
-                      fptas_r2_core, mc_stats)
+                      fptas_r2_core, independent_set_containing,
+                      inequitable_two_coloring, max_weight_independent_set, mc_stats)
 from bipsched.errors import UnsupportedQueryError
 
 
@@ -24,10 +25,16 @@ def test_machine_env_validation():
 def test_bipgraph_validation():
     with pytest.raises(ValueError):
         BipGraph(-1)
-    with pytest.raises(ValueError):
-        BipGraph(2, [], [1])
-    with pytest.raises(ValueError):
-        BipGraph(2, [], [1, 0])
+    # vertex weights are arguments of the functions that use them
+    for call in (inequitable_two_coloring, max_weight_independent_set,
+                 lambda g, w: independent_set_containing(g, (), w),
+                 lambda g, w: independent_set_containing(g, {0}, w)):
+        with pytest.raises(ValueError):
+            call(BipGraph(2), [1])
+        with pytest.raises(ValueError):
+            call(BipGraph(2), [1, 0])
+        with pytest.raises(ValueError):
+            call(BipGraph(2), [1, 1, 1])
 
 
 def test_gilbert_params_validation():
