@@ -1,21 +1,27 @@
 """Instance and schedule data model with exact rational arithmetic.
 
-All completion-time arithmetic uses ``fractions.Fraction``; no solver path
-touches floating point, so approximation ratios certified against the oracle
-are exact. Schedules carry no start times or within-machine order: the load
-sum per machine determines the makespan.
+No solver path touches floating point, so approximation ratios certified
+against the oracle are exact. Uniform and identical machines share one
+integer time scale: with A the lcm of the speed numerators, time t is the
+integer A*t and a unit of load on machine i costs w_i = A/s_i, so loads,
+capacities and makespans compare as plain ints and each result becomes one
+``Fraction``. Schedules carry no start times or within-machine order: the
+load sum per machine determines the makespan.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .bipartite import BipGraph
-from .errors import MalformedScheduleError, UnsupportedQueryError, strict_int
+from .errors import (InfeasibleError, MalformedScheduleError,
+                     UnsupportedQueryError, strict_int)
 
 
 class MachineKind(enum.Enum):
@@ -104,6 +110,46 @@ class MachineEnv:
     def speeds_by_rank(self) -> tuple[Fraction, ...]:
         return tuple(self.speed_of(label) for label in self.ranks)
 
+    @functools.cached_property
+    def scale(self) -> tuple[int, tuple[int, ...]]:
+        """The integer time scale (A, w), w in label order; see ``time_scale``."""
+        return time_scale([self.speed_of(i) for i in range(self.m)])
+
+
+def time_scale(speeds: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(A, w): A = lcm of the speed numerators, w_i = A/s_i an integer.
+
+    At scaled time T = A*t machine i holds floor(s_i*t) = T // w_i units, so
+    every capacity breakpoint is an integer T, a multiple of some w_i.
+    """
+    a = math.lcm(*(s.numerator for s in speeds))
+    return a, tuple(s.denominator * (a // s.numerator) for s in speeds)
+
+
+def capacity_time(w: Sequence[int], target: int) -> int:
+    """Least integer scaled time T with sum_i T // w_i >= target.
+
+    Starts from the relaxed time, the least T with sum_i T / w_i >= target,
+    and sweeps the capacity breakpoints upward with a heap; the relaxed
+    capacities fall short by less than len(w), so at most that many pops.
+    """
+    if target <= 0:
+        return 0
+    if not w:
+        raise InfeasibleError("no machine available to cover a positive load")
+    num, den = 0, 1  # sum_i 1/w_i
+    for wi in w:
+        num, den = num * wi + den, den * wi
+    t = -(-target * den // num)
+    have = sum(t // wi for wi in w)
+    heap = [((t // wi + 1) * wi, wi) for wi in w]
+    heapq.heapify(heap)
+    while have < target:
+        t, wi = heap[0]
+        heapq.heapreplace(heap, (t + wi, wi))
+        have += 1
+    return t
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -183,9 +229,10 @@ def machine_loads(sched: Schedule, inst: Instance) -> tuple[int, ...]:
 def makespan(sched: Schedule, inst: Instance) -> Fraction:
     """Exact makespan: max over machines of load (divided by speed if uniform)."""
     loads = machine_loads(sched, inst)
-    if inst.env.kind is MachineKind.UNIFORM:
-        return max(Fraction(load) / inst.env.speeds[i] for i, load in enumerate(loads))
-    return Fraction(max(loads))
+    if inst.env.kind is MachineKind.UNRELATED:
+        return Fraction(max(loads))
+    a, w = inst.env.scale
+    return Fraction(max(load * wi for load, wi in zip(loads, w)), a)
 
 
 def validate(sched: Schedule, inst: Instance) -> ValidationReport:
@@ -202,6 +249,17 @@ def totals(inst: Instance) -> tuple[int, int]:
         raise UnsupportedQueryError("psum/pmax undefined for unrelated machines")
     ps = [job.p for job in inst.jobs]
     return sum(ps), max(ps)
+
+
+def scaled_lower_bound(inst: Instance) -> int:
+    """A times a lower bound on every schedule's makespan (uniform or identical).
+
+    The least scaled time whose rounded-down capacities hold psum, or pmax on
+    the fastest machine, whichever is later.
+    """
+    psum, pmax = totals(inst)
+    _, w = inst.env.scale
+    return max(capacity_time(w, psum), pmax * min(w))
 
 
 @functools.lru_cache(maxsize=8)  # the jobs are frozen, so callers can share them

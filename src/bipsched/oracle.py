@@ -8,18 +8,20 @@ The branch and bound returns the lexicographically smallest optimal
 assignment. Two rules keep its search small without changing that answer:
 it never opens a machine while an earlier machine of the same speed (its
 twin) is still empty, and it stops at the first leaf that meets a lower
-bound, for uniform and identical machines the least integer scaled time
-whose rounded-down machine capacities hold the total load.
+bound. On uniform and identical machines the search adds integer costs on
+the environment's time scale (``MachineEnv.scale``) and takes its bound from
+``core.scaled_lower_bound``, the capacity sweep that ``opt_lb``, the
+sqrt(psum) fallback and Alg2 share.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, MachineKind, Schedule, makespan as eval_makespan
+from .core import (Instance, MachineKind, Schedule, makespan as eval_makespan,
+                   scaled_lower_bound)
 from .errors import BudgetExceededError, InfeasibleError
 
 
@@ -34,47 +36,6 @@ class SearchBudget:
 class OracleResult:
     schedule: Schedule
     makespan: Fraction
-
-
-def _contributions(inst: Instance) -> tuple[list[list[int]], list[int] | None]:
-    """Per-job, per-machine integer cost contributions and per-unit costs w.
-
-    For uniform speeds s_i = a_i/b_i the costs are scaled by A = lcm(a_i), so
-    a unit of load on machine i costs the integer w_i = b_i*(A/a_i) = A/s_i
-    and makespan compares stay in plain ints during the search. Identical
-    machines have w_i = 1; unrelated machines have no per-unit cost (None).
-    """
-    if inst.env.kind is MachineKind.UNRELATED:
-        return [list(job.p_row) for job in inst.jobs], None
-    if inst.env.kind is MachineKind.IDENTICAL:
-        w = [1] * inst.env.m
-    else:
-        scale = math.lcm(*(s.numerator for s in inst.env.speeds))
-        w = [s.denominator * (scale // s.numerator) for s in inst.env.speeds]
-    return [[job.p * wi for wi in w] for job in inst.jobs], w
-
-
-def _scaled_lower_bound(inst: Instance, contrib, w: list[int] | None) -> Fraction:
-    """A makespan lower bound in scaled-cost units (valid for any schedule).
-
-    With per-unit costs w, a scaled makespan T leaves machine i at most
-    floor(T / w_i) units of load, and every scaled makespan is an integer. So
-    the least integer T with sum_i floor(T / w_i) >= psum bounds it from below
-    (A times ``uniform.min_time_capacity_at_least(speeds, psum)``), as does
-    pmax * min(w) for the longest job on the fastest machine.
-    """
-    if w is None:
-        mins = [min(row) for row in contrib]
-        return max(Fraction(max(mins)), Fraction(sum(mins), inst.env.m))
-    psum = sum(job.p for job in inst.jobs)
-    pmax = max(job.p for job in inst.jobs)
-    # sum_i T/w_i >= sum_i floor(T/w_i), so T starts at the relaxed bound and
-    # steps up the breakpoints, the multiples of each w_i
-    lcm = math.lcm(*w)
-    t = -(-psum * lcm // sum(lcm // wi for wi in w))
-    while sum(t // wi for wi in w) < psum:
-        t = min((t // wi + 1) * wi for wi in w)
-    return Fraction(max(t, pmax * min(w)))
 
 
 class _Done(Exception):
@@ -98,11 +59,12 @@ def exact_min_makespan(inst: Instance,
     would give an optimum that is smaller at j. So the skip leaves the
     result unchanged.
 
-    The search stops at the first leaf whose makespan meets the lower bound
-    of ``_scaled_lower_bound``; for uniform and identical machines that is
-    the least integer scaled time whose rounded-down capacities hold psum.
-    The first leaf that meets a valid bound is optimal and, by the search
-    order, the lexicographically smallest optimum.
+    The search stops at the first leaf whose makespan meets a lower bound:
+    for uniform and identical machines ``core.scaled_lower_bound``, the
+    shared capacity sweep (the least integer scaled time whose rounded-down
+    capacities hold psum) or pmax on the fastest machine. The first leaf
+    that meets a valid bound is optimal and, by the search order, the
+    lexicographically smallest optimum.
     """
     budget = budget or SearchBudget()
     n, m = inst.n, inst.env.m
@@ -116,10 +78,17 @@ def exact_min_makespan(inst: Instance,
         adj_mask[a] |= 1 << b
         adj_mask[b] |= 1 << a
 
-    contrib, w = _contributions(inst)
-    lb = _scaled_lower_bound(inst, contrib, w)
     twin = [-1] * m
-    if w is not None:
+    if inst.env.kind is MachineKind.UNRELATED:
+        contrib = [list(job.p_row) for job in inst.jobs]
+        mins = [min(row) for row in contrib]
+        # makespans are integers, so the average of the row minima rounds down
+        lb = max(max(mins), sum(mins) // m)
+    else:
+        # a unit of load on machine i costs the integer w_i = A/s_i
+        _, w = inst.env.scale
+        contrib = [[job.p * wi for wi in w] for job in inst.jobs]
+        lb = scaled_lower_bound(inst)
         last: dict[int, int] = {}
         for i, wi in enumerate(w):
             twin[i] = last.get(wi, -1)

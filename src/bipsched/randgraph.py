@@ -18,12 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .bipartite import BipGraph, inequitable_two_coloring, max_matching, \
-    max_weight_independent_set
-from .core import (Instance, MachineEnv, Schedule, makespan as eval_makespan,
-                   unit_jobs, validate)
+from .bipartite import BipGraph, inequitable_two_coloring, max_matching
+from .core import (Instance, MachineEnv, Schedule, capacity_time,
+                   makespan as eval_makespan, unit_jobs, validate)
 from .errors import CapacityOverflow, InfeasibleError
-from .uniform import capacity, list_schedule, min_time_capacity_at_least
+# perfbench/spans.py traces the capacity sweep under this name here too
+from .uniform import list_schedule, min_time_capacity_at_least  # noqa: F401
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -153,17 +153,18 @@ def alg2_schedule_with_lb(g: BipGraph, env: MachineEnv) -> tuple[Schedule, Fract
     """
     n_jobs = g.n_vertices
     m = env.m
+    if m == 1 and g.edges:
+        raise InfeasibleError("a single machine cannot separate conflicting jobs")
+    a, w = env.scale
+    t = capacity_time(w, n_jobs)
+    lb = Fraction(t, a)
     if m == 1:
-        if g.edges:
-            raise InfeasibleError("a single machine cannot separate conflicting jobs")
-        lb = min_time_capacity_at_least(env.speeds_by_rank(), n_jobs)
         return Schedule((0,) * n_jobs), lb
 
     v1, v2 = inequitable_two_coloring(g)
-    speeds = env.speeds_by_rank()
     labels = env.ranks
-    lb = min_time_capacity_at_least(speeds, n_jobs)
-    caps = [capacity(s, lb) for s in speeds]
+    w = [w[label] for label in labels]
+    caps = [t // wi for wi in w]
 
     # least k with rank-1..k-1 capacities at least |V2'| / 2, else k = m
     k_end = m - 1
@@ -178,7 +179,7 @@ def alg2_schedule_with_lb(g: BipGraph, env: MachineEnv) -> tuple[Schedule, Fract
     jobs_v1 = [(j, 1) for j in sorted(v1)]
     factor = 2
     while True:
-        budget = [capacity(s, factor * lb) for s in speeds]
+        budget = [factor * t // wi for wi in w]
         group_v2 = [(labels[r], budget[r]) for r in range(1, k_end + 1)]
         group_v1 = [(labels[0], budget[0])]
         group_v1 += [(labels[r], budget[r]) for r in range(k_end + 1, m)]
@@ -224,8 +225,7 @@ def mc_stats(params: GilbertParams, env: MachineEnv,
     """Run seeded trials of gen_gilbert + alg2 and collect the statistics.
 
     Trial t regenerates from substream_seed(seed, t), so results do not depend
-    on execution order. For n <= 50 the Koenig identity alpha + mu = 2n is
-    cross-checked against the unit-weight maximum independent set.
+    on execution order.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -238,9 +238,6 @@ def mc_stats(params: GilbertParams, env: MachineEnv,
         _, v2 = inequitable_two_coloring(g)
         mu, _ = max_matching(g)
         alpha = 2 * n - mu
-        if n <= 50:
-            if len(max_weight_independent_set(g)) != alpha:
-                raise AssertionError("Koenig identity alpha + mu = 2n violated")
         sched, lb = alg2_schedule_with_lb(g, env)
         inst = Instance(jobs, env, g)
         if not validate(sched, inst).valid:

@@ -10,49 +10,23 @@ component puts one of its two sides on the fastest machine.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bipartite import independent_set_containing, inequitable_two_coloring
-from .core import (Instance, Job, MachineEnv, MachineKind, Schedule,
-                   makespan as eval_makespan, totals)
+from .core import (Instance, Job, MachineEnv, MachineKind, Schedule, capacity_time,
+                   makespan as eval_makespan, scaled_lower_bound, time_scale, totals)
 from .errors import CapacityOverflow, InfeasibleError
 from .unrelated import fptas_r2_bipartite
 from . import oracle as _oracle
 
 
-def capacity(speed: Fraction, t: Fraction) -> int:
-    """Rounded-down capacity floor(speed * t)."""
-    return math.floor(speed * t)
-
-
 def min_time_capacity_at_least(speeds: Sequence[Fraction], target: int) -> Fraction:
-    """Least t with sum_i floor(s_i * t) >= target.
-
-    Starts from the relaxed time target/sum(s) and sweeps the capacity
-    breakpoints c/s_i upward with a heap; at most len(speeds) pops are needed.
-    """
-    if target <= 0:
-        return Fraction(0)
-    if not speeds:
-        raise InfeasibleError("no machine available to cover a positive load")
-    t0 = Fraction(target) / sum(speeds)
-    caps = [capacity(s, t0) for s in speeds]
-    have = sum(caps)
-    if have >= target:
-        return t0
-    heap = [((caps[i] + 1) / speeds[i], i) for i in range(len(speeds))]
-    heapq.heapify(heap)
-    while True:
-        t, i = heapq.heappop(heap)
-        have += 1
-        if have >= target:
-            return t
-        caps[i] += 1
-        heapq.heappush(heap, ((caps[i] + 1) / speeds[i], i))
+    """Least t with sum_i floor(s_i * t) >= target: ``core.capacity_time`` / A."""
+    a, w = time_scale(speeds)
+    return Fraction(capacity_time(w, target), a)
 
 
 @dataclass(frozen=True)
@@ -71,17 +45,14 @@ def opt_lb(inst: Instance, independent: Iterable[int]) -> OptLb:
     machine can process pmax. Each condition is monotone in t, so the bound
     is the max of the three per-condition minima.
     """
-    psum, pmax = totals(inst)
-    speeds = inst.env.speeds_by_rank()
+    a, w = inst.env.scale
+    w = [w[label] for label in inst.env.ranks]
     ind = frozenset(independent)
     rest = sum(job.p for job in inst.jobs if job.id not in ind)
     if inst.env.m == 1 and rest > 0:
         raise InfeasibleError("no machine beyond the first to cover J \\ I")
-    t_all = min_time_capacity_at_least(speeds, psum)
-    t_rest = min_time_capacity_at_least(speeds[1:], rest) if rest else Fraction(0)
-    t_max = Fraction(pmax) / speeds[0]
-    value = max(t_all, t_rest, t_max)
-    return OptLb(value, tuple(capacity(s, value) for s in speeds))
+    t = max(scaled_lower_bound(inst), capacity_time(w[1:], rest))
+    return OptLb(Fraction(t, a), tuple(t // wi for wi in w))
 
 
 def list_schedule(jobs: Sequence[tuple[int, int]],
@@ -156,8 +127,10 @@ class SqrtPsumInfo:
 def _schedule_s2(inst: Instance, ind: frozenset[int], lb: OptLb) -> Schedule | None:
     """Step-11 placement with the proof's inflated budgets; None on overflow."""
     psum, _ = totals(inst)
-    speeds = inst.env.speeds_by_rank()
     labels = inst.env.ranks
+    a, w = inst.env.scale
+    w = [w[label] for label in labels]
+    t = int(lb.value * a)  # the bound in scaled time
     m = inst.env.m
     caps = lb.caps
     margin = _ceil_sqrt(psum)
@@ -199,11 +172,11 @@ def _schedule_s2(inst: Instance, ind: frozenset[int], lb: OptLb) -> Schedule | N
     def inflated(r: int) -> int:
         if caps[r] >= 2:
             return 2 * caps[r] + margin
-        return capacity(speeds[r], lb.value * margin)
+        return t * margin // w[r]
 
     group_j1 = [(labels[r], inflated(r)) for r in range(1, j1_end + 1)]
     group_j2 = [(labels[r], inflated(r)) for r in range(j1_end + 1, k_end + 1)]
-    group_i = [(labels[0], capacity(speeds[0], 4 * lb.value))]
+    group_i = [(labels[0], 4 * t // w[0])]
     group_i += [(labels[r], inflated(r)) for r in range(k_end + 1, m)]
 
     try:
@@ -258,9 +231,8 @@ def sqrt_psum_schedule_detailed(inst: Instance) -> tuple[Schedule, SqrtPsumInfo]
     # certify cmax <= sqrt(psum) * OPT against a lower bound on OPT; the eps=1
     # FPTAS can miss it, so then the two fastest machines are solved again at
     # eps = 1/(n+1), and that schedule is taken if strictly better
-    speeds = inst.env.speeds_by_rank()
-    bound = lb.value if lb is not None else max(
-        min_time_capacity_at_least(speeds, psum), Fraction(pmax) / speeds[0])
+    bound = lb.value if lb is not None else Fraction(
+        scaled_lower_bound(inst), inst.env.scale[0])
     if cmax ** 2 > psum * bound ** 2:
         fine_two = fptas_r2_bipartite(sub, Fraction(1, inst.n + 1))
         fine = Schedule(tuple(label_a if x == 0 else label_b for x in fine_two.assignment))
@@ -282,7 +254,8 @@ def q2_exact_unit(inst: Instance) -> Schedule:
     & Woeginger, 1994). Bit k of the Python int ``reach`` marks such sums; a
     component with side sizes a, b maps it to ``(reach << a) | (reach << b)``.
     As the reachable n1 are exactly those of valid schedules, the least reachable
-    ``(max(n1/s1, n2/s2), n1)`` is optimal, smallest n1 on ties. The backward pass
+    ``(max(n1*w1, n2*w2), n1)`` is optimal, smallest n1 on ties, where w_i = A/s_i
+    is the per-unit cost of the integer time scale. The backward pass
     that picks the sides keeps c prefix bitsets of at most n bits: n*c/8 bytes.
     """
     if inst.env.kind not in (MachineKind.UNIFORM, MachineKind.IDENTICAL) or inst.env.m != 2:
@@ -291,14 +264,14 @@ def q2_exact_unit(inst: Instance) -> Schedule:
         raise ValueError("unit jobs required")
     n = inst.n
     fast, slow = inst.env.ranks
-    s1, s2 = inst.env.speed_of(fast), inst.env.speed_of(slow)
+    w1, w2 = inst.env.scale[1][fast], inst.env.scale[1][slow]
     steps = []  # (a component's two sides, the reachable counts before it)
     reach = 1
     for halves in inst.conflicts.component_sides:
         steps.append((halves, reach))
         reach = (reach << len(halves[0])) | (reach << len(halves[1]))
     n1 = min((k for k in range(n + 1) if reach >> k & 1),
-             key=lambda k: (max(Fraction(k) / s1, Fraction(n - k) / s2), k))
+             key=lambda k: (max(k * w1, (n - k) * w2), k))
     assignment = [slow] * n
     for halves, before in reversed(steps):
         a = len(halves[0])

@@ -6,6 +6,7 @@ independent of the code paths they certify.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -14,12 +15,62 @@ from fractions import Fraction
 from typing import Sequence
 
 import networkx as nx
+from hypothesis import strategies as st
 
 from bipsched import (BipGraph, CoreResult, ForcingVerdict, GadgetSpec, Instance,
                       Job, MachineEnv, MachineKind, OracleResult, Schedule,
                       SearchBudget, SplitMix64, build_gadget, fptas_r2_bipartite)
-from bipsched import gadgets, makespan as eval_makespan, validate
+from bipsched import gadgets, machine_loads, validate
 from bipsched.errors import BudgetExceededError, InfeasibleError
+
+
+# The capacity sweep and the makespan in their original per-machine Fraction
+# form, kept verbatim as the references for the integer time scale.
+def reference_min_time_capacity_at_least(speeds: Sequence[Fraction], target: int) -> Fraction:
+    """Least t with sum_i floor(s_i * t) >= target.
+
+    Starts from the relaxed time target/sum(s) and sweeps the capacity
+    breakpoints c/s_i upward with a heap; at most len(speeds) pops are needed.
+    """
+    if target <= 0:
+        return Fraction(0)
+    if not speeds:
+        raise InfeasibleError("no machine available to cover a positive load")
+    t0 = Fraction(target) / sum(speeds)
+    caps = [math.floor(s * t0) for s in speeds]
+    have = sum(caps)
+    if have >= target:
+        return t0
+    heap = [((caps[i] + 1) / speeds[i], i) for i in range(len(speeds))]
+    heapq.heapify(heap)
+    while True:
+        t, i = heapq.heappop(heap)
+        have += 1
+        if have >= target:
+            return t
+        caps[i] += 1
+        heapq.heappush(heap, ((caps[i] + 1) / speeds[i], i))
+
+
+@st.composite
+def uniform_or_identical_envs(draw, max_m: int = 8) -> MachineEnv:
+    """1..max_m identical machines, or uniform ones with sub-unit and equal speeds."""
+    m = draw(st.integers(1, max_m))
+    if draw(st.booleans()):
+        return MachineEnv.identical(m)
+    speed = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=6)
+    # a small pool drawn with replacement makes equal speeds common
+    pool = draw(st.lists(speed, min_size=1, max_size=m))
+    return MachineEnv.uniform([draw(st.sampled_from(pool)) for _ in range(m)],
+                              allow_sub_unit=True)
+
+
+def reference_makespan(sched: Schedule, inst: Instance) -> Fraction:
+    """Exact makespan: max over machines of load (divided by speed if uniform)."""
+    loads = machine_loads(sched, inst)
+    if inst.env.kind is MachineKind.UNIFORM:
+        return max(Fraction(load) / inst.env.speeds[i] for i, load in enumerate(loads))
+    return Fraction(max(loads))
 
 
 def exhaustive_min_makespan(inst: Instance):
@@ -30,7 +81,7 @@ def exhaustive_min_makespan(inst: Instance):
         sched = Schedule(assign)
         if not validate(sched, inst).valid:
             continue
-        value = eval_makespan(sched, inst)
+        value = reference_makespan(sched, inst)
         if best is None or value < best:
             best = value
             best_assign = sched
@@ -559,7 +610,7 @@ def reference_exact_min_makespan(inst: Instance,
     if best_assign is None:
         raise InfeasibleError("search found no feasible schedule")
     sched = Schedule(tuple(best_assign))
-    return OracleResult(sched, eval_makespan(sched, inst))
+    return OracleResult(sched, reference_makespan(sched, inst))
 
 
 # The forcing check's original enumeration, kept as the reference for the

@@ -2,13 +2,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipsched import (BipGraph, Instance, Job, MachineEnv, Schedule,
                       SplitMix64, machine_loads, makespan, totals, unit_jobs,
                       validate)
+from bipsched.core import capacity_time
 from bipsched.errors import MalformedScheduleError, UnsupportedQueryError
+from bipsched.uniform import min_time_capacity_at_least
 
-from conftest import exhaustive_min_makespan
+from conftest import (exhaustive_min_makespan, reference_makespan,
+                      reference_min_time_capacity_at_least,
+                      uniform_or_identical_envs)
 
 
 def uniform_inst(speeds, ps, edges=()):
@@ -195,3 +200,35 @@ def test_from_mapping_needs_exactly_the_job_ids():
                       {-1: 0, 0: 0, 1: 1}):      # negative in place of 2
         with pytest.raises(MalformedScheduleError):
             Schedule.from_mapping(placement, 3)
+
+
+def _speeds(env):
+    return [env.speed_of(i) for i in range(env.m)]
+
+
+def test_time_scale_examples():
+    assert MachineEnv.identical(3).scale == (1, (1, 1, 1))
+    env = MachineEnv.uniform([Fraction(3, 2), 2, Fraction(1, 3)], allow_sub_unit=True)
+    assert env.scale == (6, (4, 3, 18))
+    assert env.scale is env.scale  # derived once per environment
+    with pytest.raises(UnsupportedQueryError):
+        MachineEnv.unrelated(2).scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(env=uniform_or_identical_envs(), target=st.integers(0, 10_000))
+def test_capacity_sweep_matches_fraction_reference(env, target):
+    want = reference_min_time_capacity_at_least(_speeds(env), target)
+    a, w = env.scale
+    assert Fraction(capacity_time(w, target), a) == want
+    assert min_time_capacity_at_least(_speeds(env), target) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(env=uniform_or_identical_envs(), data=st.data())
+def test_makespan_matches_fraction_reference(env, data):
+    ps = data.draw(st.lists(st.integers(1, 50), min_size=1, max_size=12))
+    jobs = tuple(Job(id=i, p=p) for i, p in enumerate(ps))
+    inst = Instance(jobs, env, BipGraph(len(ps)))
+    sched = Schedule(tuple(data.draw(st.integers(0, env.m - 1)) for _ in ps))
+    assert makespan(sched, inst) == reference_makespan(sched, inst)

@@ -6,15 +6,15 @@ from hypothesis import given, settings, strategies as st
 from bipsched import (BipGraph, Instance, Job, MachineEnv, MachineKind,
                       PrecolorInstance, SearchBudget, SplitMix64,
                       exact_min_makespan, exact_precolor_extension, makespan,
-                      unit_jobs, validate)
+                      totals, unit_jobs, validate)
+from bipsched.core import scaled_lower_bound
 from bipsched.errors import BudgetExceededError, InfeasibleError
-from bipsched.oracle import _contributions, _scaled_lower_bound
 from bipsched.randgraph import substream_seed
 from bipsched.suites import sample_conflicts
-from bipsched.uniform import min_time_capacity_at_least
 
 from conftest import (brute_precolor_extension_exists, exhaustive_min_makespan,
-                      reference_exact_min_makespan)
+                      reference_exact_min_makespan,
+                      reference_min_time_capacity_at_least)
 
 
 def test_identical_examples():
@@ -95,13 +95,12 @@ def test_oracle_matches_unbroken_symmetry_reference(inst):
 @settings(max_examples=300, deadline=None)
 @given(oracle_inputs(kinds=(MachineKind.IDENTICAL, MachineKind.UNIFORM)))
 def test_scaled_bound_is_the_capacity_time_and_below_the_optimum(inst):
-    contrib, w = _contributions(inst)
-    lb = _scaled_lower_bound(inst, contrib, w)
+    lb = scaled_lower_bound(inst)
+    scale, w = inst.env.scale
     speeds = [inst.env.speed_of(i) for i in range(inst.env.m)]
-    scale = w[0] * speeds[0]  # w_i = A / s_i for every machine i
-    psum = sum(job.p for job in inst.jobs)
-    pmax = max(job.p for job in inst.jobs)
-    assert lb == scale * max(min_time_capacity_at_least(speeds, psum),
+    assert all(wi == scale / s for wi, s in zip(w, speeds))
+    psum, pmax = totals(inst)
+    assert lb == scale * max(reference_min_time_capacity_at_least(speeds, psum),
                              Fraction(pmax) / max(speeds))
     assert lb <= scale * reference_exact_min_makespan(inst).makespan
 

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,9 +167,19 @@ def test_mc_stats_p_zero_and_one():
 
 def test_mc_stats_koenig_and_summary():
     env = MachineEnv.uniform([8, 4, 2, 1])
-    rows, summary = mc_stats(GilbertParams(30, Fraction(1, 30), 7), env, 4)
+    params = GilbertParams(30, Fraction(1, 30), 7)
+    rows, summary = mc_stats(params, env, 4)
     assert len(rows) == 4
-    assert all(r.alpha + r.mu == 60 for r in rows)
+    for r in rows:
+        # alpha = 2n - mu against networkx: the complement of a minimum
+        # vertex cover of the same trial graph is a maximum independent set
+        g = gen_gilbert(GilbertParams(30, params.p, substream_seed(params.seed, r.trial)))
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(60))
+        nxg.add_edges_from(g.edges)
+        matching = nx.bipartite.hopcroft_karp_matching(nxg, top_nodes=range(30))
+        cover = nx.bipartite.to_vertex_cover(nxg, matching, top_nodes=range(30))
+        assert r.alpha == 60 - len(cover)
     assert set(summary) == {"mean", "stddev", "max"}
     assert summary["max"]["edges"] == max(r.edges for r in rows)
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from bipsched.randgraph import substream_seed
 from bipsched.suites import q2_unit_instance, uniform_instance
 
 from conftest import (exhaustive_min_makespan, opt_lb_by_scan,
-                      reference_max_weight_independent_set, reference_q2_exact_unit)
+                      reference_max_weight_independent_set, reference_q2_exact_unit,
+                      uniform_or_identical_envs)
 
 
 def uniform_inst(speeds, ps, edges=(), allow_sub_unit=False):
@@ -64,6 +66,20 @@ def test_opt_lb_matches_breakpoint_scan():
         assert lb.value == opt_lb_by_scan(inst, ind)
         caps = tuple(int(sp * lb.value) for sp in inst.env.speeds_by_rank())
         assert lb.caps == caps
+
+
+@settings(max_examples=150, deadline=None)
+@given(env=uniform_or_identical_envs(), data=st.data())
+def test_opt_lb_matches_breakpoint_scan_on_drawn_environments(env, data):
+    ps = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    ind = frozenset(data.draw(st.sets(st.integers(0, len(ps) - 1))))
+    if env.m == 1:
+        ind = frozenset(range(len(ps)))
+    inst = Instance(tuple(Job(id=i, p=p) for i, p in enumerate(ps)), env,
+                    BipGraph(len(ps)))
+    lb = opt_lb(inst, ind)
+    assert lb.value == opt_lb_by_scan(inst, ind)
+    assert lb.caps == tuple(math.floor(s * lb.value) for s in env.speeds_by_rank())
 
 
 def test_opt_lb_minimality_one_condition_fails_below():
@@ -273,6 +289,16 @@ def test_q2_examples():
 
     inst = Instance(unit_jobs(4), MachineEnv.uniform([3, 1]), BipGraph(4))
     assert makespan(q2_exact_unit(inst), inst) == 1
+
+
+def test_q2_takes_the_smaller_split_on_tied_makespans():
+    # speeds 2 (label 1) and 1: three or four jobs on the fast machine both
+    # give makespan max(3/2, 2) = max(4/2, 1) = 2; the smaller split wins
+    inst = Instance(unit_jobs(5), MachineEnv.uniform([1, 2]), BipGraph(5, [(0, 1)]))
+    s = q2_exact_unit(inst)
+    assert validate(s, inst).valid and makespan(s, inst) == 2
+    assert s.assignment.count(1) == 3
+    assert reference_q2_exact_unit(inst).assignment.count(1) == 3
 
 
 def test_q2_preconditions():
